@@ -14,6 +14,7 @@ from .boxed import (
     in_box_rounding,
     mch_reduce,
     solve_ilsb,
+    solve_ilsb_many,
 )
 from .exceptions import (
     EmptyBoxError,
@@ -41,6 +42,7 @@ from .ils import (
     plll_reduce,
     se_search,
     solve_ils,
+    solve_ils_many,
 )
 from .linalg import householder_qr, householder_qr_min_pivot, int_det
 
@@ -75,7 +77,9 @@ __all__ = [
     "rounded_real_ls",
     "se_search",
     "solve_ils",
+    "solve_ils_many",
     "solve_ilsb",
+    "solve_ilsb_many",
     "update_u",
     "update_v",
 ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EmptyBoxError
-from .ils import ReducedProblem
+from .ils import ReducedProblem, SearchStats, _project
 from .linalg import givens_coeffs, householder_qr, require_finite, rotate_rows, round_half_away
 
 _SIGN_TOL = 1e-12
@@ -98,6 +98,18 @@ def in_box_rounding(c, lo, hi):
     return nearest, (above if c >= nearest else below)
 
 
+def _check_box(H, box):
+    if box.n != H.shape[1]:
+        raise ValueError(f"box has {box.n} coordinates, expected {H.shape[1]}")
+
+
+def _factor(H):
+    """QR of H and R^{-T}: the part of mch_reduce that does not depend on y."""
+    Q1, R = householder_qr(H)
+    S = np.linalg.solve(R, np.eye(R.shape[0])).T
+    return Q1, R, S
+
+
 def mch_reduce(H, y, box):
     """Column-reordering reduction for the boxed problem.
 
@@ -111,14 +123,16 @@ def mch_reduce(H, y, box):
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    m, n = H.shape
     require_finite(y, "y")
-    if box.n != n:
-        raise ValueError(f"box has {box.n} coordinates, expected {n}")
-    Q1, R = householder_qr(H)
-    y_hat = Q1.T @ y
-    offset = max(float(y @ y - y_hat @ y_hat), 0.0)
-    S = np.linalg.solve(R, np.eye(n)).T  # R^{-T}, kept in sync with R
+    _check_box(H, box)
+    return _reorder(_factor(H), y, box)
+
+
+def _reorder(factors, y, box):
+    """mch_reduce on a shared _factor(H); reorders copies, never the factors."""
+    Q1, R, S = factors  # S = R^{-T}, kept in sync with R
+    n = R.shape[0]
+    y_hat, offset = _project(Q1, y)
     y_bar = y_hat.copy()
     lower = box.lower.copy()
     upper = box.upper.copy()
@@ -283,6 +297,11 @@ def boxed_search(rp, box, bounds, beta0=np.inf, stats=None, trace=None):
             return best
 
 
+def _search(rp, permuted_box, stats):
+    bounds = compute_bound_table(rp.R, rp.y_hat, permuted_box)
+    return rp.Z @ boxed_search(rp, permuted_box, bounds, stats=stats)
+
+
 def solve_ilsb(H, y, box, stats=None):
     """Globally minimize ||y - H x||_2^2 over integer x inside the box.
 
@@ -292,8 +311,29 @@ def solve_ilsb(H, y, box, stats=None):
     H = np.atleast_2d(np.asarray(H, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     rp, permuted_box = mch_reduce(H, y, box)
-    bounds = compute_bound_table(rp.R, rp.y_hat, permuted_box)
-    z = boxed_search(rp, permuted_box, bounds, stats=stats)
-    x = rp.Z @ z
+    x = _search(rp, permuted_box, stats)
     r = y - H @ x
     return x, float(r @ r)
+
+
+def solve_ilsb_many(H, Y, box):
+    """Globally minimize ||Y[:, j] - H x_j||_2^2 inside the box, for every column j.
+
+    The column order of the reduction depends on each right-hand side,
+    so only the QR of H and R^{-T} are shared. Returns (X, stats):
+    column j of X is x_j and stats[j] holds that search's SearchStats.
+    """
+    H = np.atleast_2d(np.asarray(H, dtype=float))
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2:
+        raise ValueError(f"Y must be an m-by-p block of right-hand sides, got shape {Y.shape}")
+    require_finite(Y, "Y")
+    _check_box(H, box)
+    factors = _factor(H)
+    X = np.empty((H.shape[1], Y.shape[1]), dtype=np.int64, order="F")
+    stats = []
+    for j in range(X.shape[1]):
+        stats.append(SearchStats())
+        rp, permuted_box = _reorder(factors, np.ascontiguousarray(Y[:, j]), box)
+        X[:, j] = _search(rp, permuted_box, stats[-1])
+    return X, stats

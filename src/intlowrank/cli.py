@@ -4,7 +4,8 @@ Subcommands: `ils` (one integer least squares solve), `factorize`
 (low-rank factorization of a matrix file, emitting factor files plus a
 JSON run report), and the two experiment harnesses that write CSV.
 Exit codes: 0 success, 2 parse/parameter error, 3 rank-deficient input,
-4 empty box.
+4 empty box, 5 internal consistency failure (the reported final residual
+does not match the emitted factors).
 """
 
 import argparse
@@ -39,6 +40,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RANK_DEFICIENT = 3
 EXIT_EMPTY_BOX = 4
+EXIT_INTERNAL = 5
 
 CSV_SCHEMA_VERSION = 1
 FAIL_TOKEN = "FAIL"
@@ -127,7 +129,14 @@ def cmd_factorize(args):
 
     final = result.final_residual
     if result.U is not None and result.V is not None:
-        assert final == residual(A, result.U, result.V)
+        recomputed = residual(A, result.U, result.V)
+        if final != recomputed:
+            print(
+                f"error: internal consistency failure: final residual {final} "
+                f"!= {recomputed} recomputed from the factors",
+                file=sys.stderr,
+            )
+            return EXIT_INTERNAL
     report = {
         "input": str(a_path),
         "input_sha256": hashlib.sha256(a_path.read_bytes()).hexdigest(),

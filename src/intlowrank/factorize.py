@@ -3,18 +3,24 @@
 Each half-sweep solves its block subproblem to global optimality: the
 rows of U (columns of V) are independent integer least squares problems
 sharing the same coefficient matrix, so the exact squared Frobenius
-residual never increases from one half-sweep to the next. A rounded
-real-least-squares variant of the sweep is provided as the comparison
-baseline; it carries no optimality guarantee.
+residual never increases from one half-sweep to the next. A half-sweep
+reduces that shared matrix once: without a box one lattice reduction
+serves every row, and with a box, whose column order depends on each
+row, one QR factorization does. A rounded real-least-squares variant of
+the sweep is provided as the comparison baseline; it carries no
+optimality guarantee.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxed import BoxConstraint, solve_ilsb
+# The half-sweeps call only the *_many solvers. solve_ils and solve_ilsb
+# stay importable from this module because perfbench/tracing.py and
+# perfbench/selftest.py look them up here.
+from .boxed import BoxConstraint, solve_ilsb, solve_ilsb_many  # noqa: F401
 from .exceptions import NotOrthonormalError, RankDeficientError
-from .ils import SearchStats, solve_ils
+from .ils import solve_ils, solve_ils_many  # noqa: F401
 from .linalg import householder_qr, round_half_away
 
 STATUS_CONVERGED = "converged"
@@ -33,15 +39,24 @@ def as_int_matrix(A):
     return A.astype(np.int64)
 
 
+def _max_abs(M):
+    return max(-int(M.min()), int(M.max())) if M.size else 0
+
+
 def residual(A, U, V):
     """Exact squared Frobenius residual of A - U V.
 
-    Computed in arbitrary-precision integer arithmetic, so the value is
-    exact and cannot overflow.
+    Computed in int64 when every entry of A - U V is at most
+    max|A| + k max|U| max|V| in magnitude and the sum of their squares
+    is thereby below 2**63; otherwise in arbitrary-precision integer
+    arithmetic. Either way the value is exact and cannot overflow.
     """
-    A = as_int_matrix(A).astype(object)
-    U = as_int_matrix(U).astype(object)
-    V = as_int_matrix(V).astype(object)
+    A = as_int_matrix(A)
+    U = as_int_matrix(U)
+    V = as_int_matrix(V)
+    entry_bound = _max_abs(A) + U.shape[1] * _max_abs(U) * _max_abs(V)
+    if A.size * entry_bound**2 >= 2**63:
+        A, U, V = (M.astype(object) for M in (A, U, V))
     D = A - U @ V
     return int((D * D).sum())
 
@@ -77,49 +92,44 @@ def rounded_real_ls(H, y, box=None):
     return x
 
 
-def _solve_subproblem(H, y, box, method, node_counts):
-    stats = SearchStats() if node_counts is not None else None
+def _solve_columns(H, Y, box, method, node_counts):
+    """X with column j minimizing ||Y[:, j] - H x_j||^2, one shared H for all j."""
     if method == "ils":
         if box is None:
-            x, _ = solve_ils(H, y, stats=stats)
+            X, stats = solve_ils_many(H, Y)
         else:
-            x, _ = solve_ilsb(H, y, box, stats=stats)
+            X, stats = solve_ilsb_many(H, Y, box)
+        nodes = [s.nodes for s in stats]
     else:
-        x = rounded_real_ls(H, y, box)
+        X = np.empty((H.shape[1], Y.shape[1]), dtype=np.int64, order="F")
+        for j in range(Y.shape[1]):
+            X[:, j] = rounded_real_ls(H, Y[:, j], box)
+        nodes = [0] * Y.shape[1]
     if node_counts is not None:
-        node_counts.append(stats.nodes if stats is not None else 0)
-    return x
+        node_counts.extend(nodes)
+    return X
 
 
 def update_u(A, V, box=None, method="ils", node_counts=None):
     """Minimize ||A - U V||_F^2 over U, row by row.
 
     Each row of U is an independent integer least squares problem with
-    coefficient matrix V^T; an optional box applies per coordinate to
-    every row. The default method solves every row globally; method
-    "rounded_ls" substitutes the rounding baseline. Raises
-    RankDeficientError when V^T lacks full column rank.
+    coefficient matrix V^T, which is reduced once for all rows; an
+    optional box applies per coordinate to every row. The default method
+    solves every row globally; method "rounded_ls" substitutes the
+    rounding baseline. Raises RankDeficientError when V^T lacks full
+    column rank.
     """
     A = as_int_matrix(A)
     V = as_int_matrix(V)
-    H = V.T.astype(float)
-    rows = [
-        _solve_subproblem(H, A[i].astype(float), box, method, node_counts)
-        for i in range(A.shape[0])
-    ]
-    return np.array(rows, dtype=np.int64)
+    return _solve_columns(V.T.astype(float), A.T.astype(float), box, method, node_counts).T
 
 
 def update_v(A, U, box=None, method="ils", node_counts=None):
     """Column-wise mirror of update_u: solves min ||A(:,j) - U v|| per column."""
     A = as_int_matrix(A)
     U = as_int_matrix(U)
-    H = U.astype(float)
-    cols = [
-        _solve_subproblem(H, A[:, j].astype(float), box, method, node_counts)
-        for j in range(A.shape[1])
-    ]
-    return np.array(cols, dtype=np.int64).T
+    return _solve_columns(U.astype(float), A.astype(float), box, method, node_counts)
 
 
 def init_most_frequent(A, k):

@@ -4,7 +4,9 @@ The solver runs in two stages: a lattice reduction that re-expresses
 min ||y - H x||^2 as an upper-triangular problem min ||y_hat - R z||^2
 with x = Z z for a unimodular Z, followed by a depth-first zigzag
 enumeration that shrinks its squared-radius bound every time a better
-point is found and therefore terminates at a global minimizer.
+point is found and therefore terminates at a global minimizer. The
+reduction depends on H alone, so problems that share H share one
+reduction and differ only in y_hat.
 """
 
 from dataclasses import dataclass, field
@@ -52,8 +54,27 @@ class ReducedProblem:
     def n(self):
         return self.R.shape[0]
 
+    def column(self, j):
+        """Problem j of a block reduction, whose y_hat is n-by-p."""
+        return ReducedProblem(
+            R=self.R, Z=self.Z, y_hat=self.y_hat[:, j], offset=float(self.offset[j])
+        )
+
 
 def _project(Q1, y):
+    """Q1^T y and the residual mass orthogonal to the columns of Q1.
+
+    An m-by-p block of right-hand sides is projected one contiguous
+    column at a time: a single matrix product rounds differently in the
+    last bit, which can flip ties between integer points of equal
+    residual.
+    """
+    if y.ndim == 2:
+        y_hat = np.empty((Q1.shape[1], y.shape[1]))
+        offset = np.empty(y.shape[1])
+        for j in range(y.shape[1]):
+            y_hat[:, j], offset[j] = _project(Q1, np.ascontiguousarray(y[:, j]))
+        return y_hat, offset
     y_hat = Q1.T @ y
     offset = max(float(y @ y - y_hat @ y_hat), 0.0)
     return y_hat, offset
@@ -125,9 +146,16 @@ def plll_reduce(H, y):
     guarantees the diagonal condition with delta = 1 on adjacent pairs;
     size reduction is applied only to columns that get permuted. The
     residual identity of the returned problem holds regardless.
+
+    y may also be an m-by-p block whose columns are right-hand sides.
+    R and Z do not depend on y, so one reduction serves the block:
+    y_hat is then n-by-p, offset has length p, and column j equals the
+    reduction of y[:, j] alone bit for bit (see ReducedProblem.column).
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 2:
+        y = y.ravel()
     require_finite(y, "y")
     Q1, R, perm = householder_qr_min_pivot(H)
     n = R.shape[0]
@@ -226,3 +254,22 @@ def solve_ils(H, y, stats=None):
     x = rp.Z @ z
     r = y - H @ x
     return x, float(r @ r)
+
+
+def solve_ils_many(H, Y):
+    """Globally minimize ||Y[:, j] - H x_j||_2^2 for every column j of Y.
+
+    One reduction of H serves every column; each column gets its own
+    search. Returns (X, stats): column j of X is x_j and stats[j] holds
+    that search's SearchStats. H must have full column rank.
+    """
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2:
+        raise ValueError(f"Y must be an m-by-p block of right-hand sides, got shape {Y.shape}")
+    rp = plll_reduce(H, Y)
+    X = np.empty((rp.n, Y.shape[1]), dtype=np.int64, order="F")
+    stats = []
+    for j in range(X.shape[1]):
+        stats.append(SearchStats())
+        X[:, j] = rp.Z @ se_search(rp.column(j), stats=stats[-1])
+    return X, stats

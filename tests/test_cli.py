@@ -6,6 +6,7 @@ from conftest import RANK2_U, RANK2_V, TRANSACTIONS, exact_residual_sq
 
 from intlowrank.cli import (
     EXIT_EMPTY_BOX,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_RANK_DEFICIENT,
     EXIT_USAGE,
@@ -96,6 +97,15 @@ class TestFactorizeCommand:
         assert "final_residual: 0" in out
         report = json.loads((tmp_path / "rec.report.json").read_text())
         assert report["residual_history"] == [0]
+
+    def test_residual_mismatch_is_internal_failure(self, tmp_path, capsys, monkeypatch):
+        a = tmp_path / "A.txt"
+        save_matrix(a, TRANSACTIONS)
+        monkeypatch.setattr("intlowrank.cli.residual", lambda A, U, V: -1)
+        rc = main(["factorize", str(a), "--rank", "2", "--out-prefix", str(tmp_path / "bad")])
+        assert rc == EXIT_INTERNAL
+        assert "internal consistency failure" in capsys.readouterr().err
+        assert not (tmp_path / "bad.report.json").exists()
 
     def test_rank_deficiency_is_in_band(self, tmp_path, capsys):
         a = tmp_path / "A.txt"

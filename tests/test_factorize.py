@@ -17,8 +17,8 @@ from conftest import (
     random_full_rank,
 )
 
-from intlowrank.boxed import BoxConstraint
-from intlowrank.exceptions import NotOrthonormalError
+from intlowrank.boxed import BoxConstraint, solve_ilsb
+from intlowrank.exceptions import NotOrthonormalError, RankDeficientError
 from intlowrank.factorize import (
     STATUS_CONVERGED,
     STATUS_RANK_DEFICIENT,
@@ -33,7 +33,7 @@ from intlowrank.factorize import (
     update_u,
     update_v,
 )
-from intlowrank.ils import solve_ils
+from intlowrank.ils import SearchStats, solve_ils
 
 
 class TestResidual:
@@ -54,6 +54,27 @@ class TestResidual:
     def test_rejects_fractional_entries(self):
         with pytest.raises(ValueError):
             as_int_matrix(np.array([[1.5, 2.0]]))
+
+    @pytest.mark.parametrize("a", [3_037_000_499, 3_037_000_500, -3_037_000_500])
+    def test_exact_at_the_int64_bound(self, a):
+        # a**2 < 2**63 for the first value only: int64 on one side of the
+        # overflow bound, arbitrary precision on the other.
+        zero = np.zeros((1, 1), dtype=np.int64)
+        assert residual(np.array([[a]]), zero, zero) == a * a
+
+    def test_matches_python_int_reference(self):
+        rng = np.random.default_rng(51)
+        for scale in (1, 100, 10**4, 10**6, 3 * 10**9):
+            m, n, k = (int(v) for v in rng.integers(1, 12, size=3))
+            A = rng.integers(-scale, scale + 1, size=(m, n))
+            U = rng.integers(-scale, scale + 1, size=(m, k))
+            V = rng.integers(-scale, scale + 1, size=(k, n))
+            expected = sum(
+                (int(A[i, j]) - sum(int(U[i, r]) * int(V[r, j]) for r in range(k))) ** 2
+                for i in range(m)
+                for j in range(n)
+            )
+            assert residual(A, U, V) == expected
 
 
 class TestRoundProjectOrthonormal:
@@ -120,6 +141,39 @@ class TestUpdates:
         V = update_v(A, U)
         Ut = update_u(A.T, U.T)
         assert residual(A, U, V) == residual(A.T, Ut, U.T)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("box", [None, (-2, 3)])
+    def test_shared_reduction_matches_row_by_row(self, k, box):
+        # k = 1 takes the single-level branch of the unboxed search.
+        rng = np.random.default_rng(60 + k)
+        A = rng.integers(-6, 7, size=(9, 7))
+        V = random_full_rank(rng, 7, k, lo=-4, hi=4).T
+        U = random_full_rank(rng, 9, k, lo=-4, hi=4)
+        cons = BoxConstraint.uniform(k, *box) if box else None
+        u_counts, v_counts = [], []
+        new_u = update_u(A, V, cons, node_counts=u_counts)
+        new_v = update_v(A, U, cons, node_counts=v_counts)
+        assert new_u.shape == (9, k) and new_v.shape == (k, 7)
+        for H, rows, targets, counts in ((V.T, new_u, A, u_counts), (U, new_v.T, A.T, v_counts)):
+            assert len(counts) == len(targets)
+            for i, y in enumerate(targets):
+                stats = SearchStats()
+                H_f, y_f = H.astype(float), y.astype(float)
+                if cons is None:
+                    x, _ = solve_ils(H_f, y_f, stats=stats)
+                else:
+                    x, _ = solve_ilsb(H_f, y_f, cons, stats=stats)
+                assert np.array_equal(rows[i], x)
+                assert counts[i] == stats.nodes
+
+    @pytest.mark.parametrize("box", [None, BoxConstraint.uniform(2, 0, 3)])
+    def test_rank_deficient_factor_raises(self, box):
+        deficient = np.array([[1, 2, 3, 4, 5, 6], [2, 4, 6, 8, 10, 12]])
+        with pytest.raises(RankDeficientError):
+            update_u(TRANSACTIONS, deficient, box)
+        with pytest.raises(RankDeficientError):
+            update_v(TRANSACTIONS.T, deficient.T, box)
 
     def test_node_counts_collected(self):
         counts = []

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import brute_ils_min, exact_residual_sq, make_ils_instance, random_full_rank
 
+from intlowrank.exceptions import RankDeficientError
 from intlowrank.ils import (
     SearchStats,
     integer_gauss_transform,
@@ -9,6 +10,7 @@ from intlowrank.ils import (
     plll_reduce,
     se_search,
     solve_ils,
+    solve_ils_many,
 )
 from intlowrank.linalg import int_det
 
@@ -226,6 +228,58 @@ class TestSolveILS:
             x, _ = solve_ils(H.astype(float), y.astype(float))
             assert exact_residual_sq(H, y, x) == oracle
             done += 1
+
+
+class TestSharedReduction:
+    """One block reduction must reproduce every per-column reduction exactly."""
+
+    def _block(self, rng, m, n, p):
+        H = random_full_rank(rng, m, n, lo=-20, hi=20).astype(float)
+        Y = rng.integers(-60, 61, size=(m, p)).astype(float)
+        return H, Y
+
+    def test_columns_match_single_reductions_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        swaps_seen = False
+        for _ in range(30):
+            n = int(rng.integers(1, 7))
+            H, Y = self._block(rng, n + int(rng.integers(0, 4)), n, int(rng.integers(1, 6)))
+            block = plll_reduce(H, Y)
+            assert block.y_hat.shape == (n, Y.shape[1])
+            for j in range(Y.shape[1]):
+                single = plll_reduce(H, Y[:, j])
+                col = block.column(j)
+                assert np.array_equal(col.R, single.R)
+                assert np.array_equal(col.Z, single.Z)
+                assert np.array_equal(col.y_hat, single.y_hat)
+                assert col.offset == single.offset
+            is_permutation = (block.Z >= 0).all() and np.array_equal(block.Z @ block.Z.T, np.eye(n))
+            swaps_seen |= not is_permutation
+        # PLLL size-reduces only around swaps, so a Z that is not a
+        # permutation proves that Givens rotations reached the block.
+        assert swaps_seen
+
+    def test_solve_many_matches_solve_per_column(self):
+        rng = np.random.default_rng(42)
+        for n in (1, 1, 2, 3, 4, 5):
+            H, Y = self._block(rng, n + 2, n, 7)
+            X, stats = solve_ils_many(H, Y)
+            assert X.shape == (n, 7) and len(stats) == 7
+            for j in range(7):
+                single = SearchStats()
+                x, _ = solve_ils(H, Y[:, j], stats=single)
+                assert np.array_equal(X[:, j], x)
+                assert stats[j].nodes == single.nodes
+                assert stats[j].betas == single.betas
+
+    def test_rank_deficient_block_raises(self):
+        H = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
+        with pytest.raises(RankDeficientError):
+            solve_ils_many(H, np.ones((3, 4)))
+
+    def test_block_must_be_two_dimensional(self):
+        with pytest.raises(ValueError):
+            solve_ils_many(np.eye(2), np.ones(2))
 
 
 class TestFiniteEntries:
