@@ -3,10 +3,10 @@
 General unimodular transforms would warp a box constraint, so the
 reduction here is restricted to column reorderings: the constraint set in
 reduced coordinates stays a box with permuted bounds. The reordering
-ranks columns by how costly their second-best in-box choice is, the
-precomputed per-level bounds tighten the enumeration radius, and the
-search clips its zigzag to the box while skipping exhausted levels
-transitively when it backtracks.
+ranks columns by how costly their second-best in-box choice is. The
+search is the zigzag shared with ils.se_search, given the permuted box
+bounds and a table of precomputed per-level bounds that tighten its
+radius test.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EmptyBoxError
-from .ils import ReducedProblem, SearchStats, _project
+from .ils import ReducedProblem, SearchStats, _enumerate, _project
 from .linalg import givens_coeffs, householder_qr, require_finite, rotate_rows, round_half_away
 
 _SIGN_TOL = 1e-12
@@ -213,88 +213,16 @@ def compute_bound_table(R, y_hat, box):
 def boxed_search(rp, box, bounds, beta0=np.inf, stats=None, trace=None):
     """Best-first enumeration over the box in reduced coordinates.
 
-    Candidates at each level zigzag outward from the clamped rounding of
-    the conditional center, so their distances are nondecreasing and a
-    failed radius test ends the level. Backtracking advances past levels
-    whose interval is fully enumerated, which is what guarantees
+    The shared zigzag of ils.se_search, clipped to the box and pruned by
+    the bound table: candidates at each level zigzag outward from the
+    clamped rounding of the conditional center, and backtracking skips
+    levels whose interval is fully enumerated, which is what guarantees
     termination on every nonempty box. Returns a global minimizer, or
-    None when a finite beta0 admits no point.
+    None when a finite beta0 admits no point. trace, when given, receives
+    (level, z[level:]) for every visited node.
     """
-    R, y_hat = rp.R, rp.y_hat
-    n = rp.n
-    lower, upper = box.lower, box.upper
-    sizes = upper - lower + 1
-    gamma = bounds.gamma
-    beta = float(beta0)
-    best = None
-    c = np.zeros(n)
-    t = np.zeros(n)
-    z = np.zeros(n, dtype=np.int64)
-    lo_f = np.zeros(n, dtype=np.int64)
-    hi_f = np.zeros(n, dtype=np.int64)
-    count = np.zeros(n, dtype=np.int64)
-    pref = np.zeros(n, dtype=np.int64)
-
-    def _enter(k):
-        c[k] = (y_hat[k] - R[k, k + 1 :] @ z[k + 1 :]) / R[k, k]
-        first = min(max(int(round_half_away(c[k])), int(lower[k])), int(upper[k]))
-        z[k] = first
-        lo_f[k] = first
-        hi_f[k] = first
-        count[k] = 1
-        pref[k] = 1 if c[k] >= first else -1
-
-    def _advance(k):
-        """Step level k to its next-nearest untried in-box integer."""
-        if count[k] >= sizes[k]:
-            return False
-        a = lo_f[k] - 1
-        b = hi_f[k] + 1
-        if a < lower[k]:
-            pick = b
-        elif b > upper[k]:
-            pick = a
-        else:
-            d_a = c[k] - a
-            d_b = b - c[k]
-            if d_b < d_a:
-                pick = b
-            elif d_a < d_b:
-                pick = a
-            else:
-                pick = b if pref[k] > 0 else a
-        z[k] = pick
-        if pick == a:
-            lo_f[k] = a
-        else:
-            hi_f[k] = b
-        count[k] += 1
-        return True
-
-    k = n - 1
-    _enter(k)
-    while True:
-        if stats is not None:
-            stats.nodes += 1
-        if trace is not None:
-            trace.append((k, tuple(int(v) for v in z[k:])))
-        d = R[k, k] * (z[k] - c[k])
-        partial = t[k] + d * d
-        if partial + gamma[k] < beta:
-            if k > 0:
-                t[k - 1] = partial
-                k -= 1
-                _enter(k)
-                continue
-            beta = partial
-            best = z.copy()
-            if stats is not None:
-                stats.betas.append(beta)
-        k += 1
-        while k < n and not _advance(k):
-            k += 1
-        if k >= n:
-            return best
+    lower, upper, gamma = box.lower.tolist(), box.upper.tolist(), bounds.gamma.tolist()
+    return _enumerate(rp, lower, upper, gamma, beta0, stats, trace)
 
 
 def _search(rp, permuted_box, stats):

@@ -1,12 +1,9 @@
 """Experiment harnesses behind the experiment CLI subcommands.
 
-Trials are seeded individually from the master seed, so results are
-deterministic regardless of execution order; the INTLOWRANK_THREADS
-environment variable caps how many trials run concurrently.
+Trials run one after another, each seeded individually from the master
+seed, so results are deterministic.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,29 +15,9 @@ from .factorize import (
     init_random,
 )
 
-THREADS_ENV = "INTLOWRANK_THREADS"
-
-
 def trial_seed(master_seed, index):
     """Derived seed for one trial: master * 1000003 + index."""
     return master_seed * 1_000_003 + index
-
-
-def _max_workers():
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _run_trials(fn, trials):
-    workers = _max_workers()
-    indices = range(1, trials + 1)
-    if workers == 1:
-        return [fn(t) for t in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, indices))
 
 
 def random_product_matrix(n_rows, n_cols, rank, lo, hi, seed):
@@ -83,7 +60,7 @@ def distribution_experiment(rank, lo, hi, trials, seed, a_matrix=None, n=None):
         final = None if failed else result.final_residual
         return TrialOutcome(t, s, final, result.sweeps, result.status)
 
-    return A, _run_trials(one, trials)
+    return A, [one(t) for t in range(1, trials + 1)]
 
 
 @dataclass
@@ -123,7 +100,7 @@ def compare_experiment(n, rank, lo, hi, trials, seed):
             outcomes[method] = (result.final_residual, result.sweeps, result.status)
         return CompareOutcome(t, a_seed, v0_seed, *outcomes["ils"], *outcomes["rounded_ls"])
 
-    return _run_trials(one, trials)
+    return [one(t) for t in range(1, trials + 1)]
 
 
 def summarize_residuals(values):

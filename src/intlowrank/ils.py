@@ -6,9 +6,12 @@ with x = Z z for a unimodular Z, followed by a depth-first zigzag
 enumeration that shrinks its squared-radius bound every time a better
 point is found and therefore terminates at a global minimizer. The
 reduction depends on H alone, so problems that share H share one
-reduction and differ only in y_hat.
+reduction and differ only in y_hat. The enumeration (_enumerate) serves
+both solvers: se_search runs it on an unbounded box, and the boxed
+solver's boxed_search on its box with a bound table.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,63 +186,95 @@ def plll_reduce(H, y):
     return ReducedProblem(R=R, Z=Z, y_hat=y_hat, offset=offset)
 
 
+def _enumerate(rp, lower, upper, gamma, beta0, stats, trace):
+    """Zigzag enumeration of min ||y_hat - R z||^2 over lower <= z <= upper.
+
+    The per-level bounds lower[k], upper[k] may be -inf and inf, and
+    gamma[k] is a lower bound on the residual mass of the levels below k
+    (zero when nothing is known). Each level starts at the clamped
+    rounding of its conditional center and then takes the nearest untried
+    in-box integer, so distances are nondecreasing and a failed radius
+    test ends the level. On an exact distance tie the upper neighbour
+    wins when the center lies at or above the first candidate, else the
+    lower one. Backtracking skips levels whose interval is exhausted.
+    Returns a global minimizer, or None when a finite beta0 admits no
+    point. Per-level state lives in Python lists, because numpy scalar
+    access would dominate the cost of a node.
+    """
+    R = rp.R
+    n = rp.n
+    y_hat = rp.y_hat.tolist()
+    diag = R.diagonal().tolist()
+    beta = float(beta0)
+    best = None
+    nodes = 0
+    c = [0.0] * n
+    t = [0.0] * n
+    lo_f = [0] * n
+    hi_f = [0] * n
+    up = [False] * n
+    z = np.zeros(n, dtype=np.int64)  # levels above the current one, for the dot product
+    k = n - 1
+    while True:
+        # Enter level k at the in-box integer nearest its center, rounding
+        # ties away from zero as linalg.round_half_away does.
+        ck = (y_hat[k] - float(R[k, k + 1 :] @ z[k + 1 :])) / diag[k]
+        zk = math.floor(ck + 0.5) if ck >= 0 else -math.floor(0.5 - ck)
+        zk = min(max(zk, lower[k]), upper[k])
+        c[k] = ck
+        lo_f[k] = hi_f[k] = zk
+        up[k] = ck >= zk
+        while True:
+            nodes += 1
+            if trace is not None:
+                trace.append((k, (zk, *z[k + 1 :].tolist())))
+            d = diag[k] * (zk - ck)
+            partial = t[k] + d * d
+            if partial + gamma[k] < beta:
+                z[k] = zk
+                if k > 0:
+                    t[k - 1] = partial
+                    k -= 1
+                    break
+                beta = partial
+                best = z.copy()
+                if stats is not None:
+                    stats.betas.append(beta)
+            # Backtrack to the nearest level with an untried in-box integer.
+            k += 1
+            while k < n:
+                a = lo_f[k] - 1
+                b = hi_f[k] + 1
+                ck = c[k]
+                if a < lower[k]:
+                    if b > upper[k]:
+                        k += 1
+                        continue
+                    zk = hi_f[k] = b
+                elif b > upper[k] or ck - a < b - ck or (ck - a == b - ck and not up[k]):
+                    zk = lo_f[k] = a
+                else:
+                    zk = hi_f[k] = b
+                break
+            else:
+                if stats is not None:
+                    stats.nodes += nodes
+                return best
+
+
 def se_search(rp, beta0=np.inf, stats=None):
     """Depth-first zigzag enumeration of min ||y_hat - R z||^2 over Z^n.
 
     Returns a global minimizer z. With the default infinite initial bound
     a minimizer always exists; a finite beta0 that excludes every lattice
     point yields None. Bound comparisons are strict, so the sequence of
-    accepted bounds is strictly decreasing.
+    accepted bounds is strictly decreasing. Each level visits integers in
+    order of distance from its center; on an exact tie the upper one
+    comes first when the center lies at or above the level's first
+    (rounded) integer, else the lower one.
     """
-    R, y_hat = rp.R, rp.y_hat
     n = rp.n
-    if n == 1:
-        z0 = int(round_half_away(y_hat[0] / R[0, 0]))
-        d = y_hat[0] - R[0, 0] * z0
-        if stats is not None:
-            stats.nodes += 1
-        if d * d >= beta0:
-            return None
-        if stats is not None:
-            stats.betas.append(d * d)
-        return np.array([z0], dtype=np.int64)
-
-    beta = float(beta0)
-    best = None
-    c = np.zeros(n)
-    t = np.zeros(n)
-    z = np.zeros(n, dtype=np.int64)
-    step = np.zeros(n, dtype=np.int64)
-
-    def _enter(k):
-        c[k] = (y_hat[k] - R[k, k + 1 :] @ z[k + 1 :]) / R[k, k]
-        z[k] = int(round_half_away(c[k]))
-        step[k] = 1 if c[k] >= z[k] else -1
-
-    k = n - 1
-    _enter(k)
-    while True:
-        if stats is not None:
-            stats.nodes += 1
-        d = R[k, k] * (z[k] - c[k])
-        partial = t[k] + d * d
-        if partial < beta:
-            if k > 0:
-                t[k - 1] = partial
-                k -= 1
-                _enter(k)
-                continue
-            beta = partial
-            best = z.copy()
-            if stats is not None:
-                stats.betas.append(beta)
-        # The zigzag emits candidates in nondecreasing distance order, so a
-        # failed bound ends the level; resume one level up.
-        k += 1
-        if k >= n:
-            return best
-        z[k] += step[k]
-        step[k] = -step[k] - (1 if step[k] > 0 else -1)
+    return _enumerate(rp, [-np.inf] * n, [np.inf] * n, [0.0] * n, beta0, stats, None)
 
 
 def solve_ils(H, y, stats=None):

@@ -17,7 +17,7 @@ from intlowrank.boxed import (
     solve_ilsb,
 )
 from intlowrank.exceptions import EmptyBoxError
-from intlowrank.ils import SearchStats
+from intlowrank.ils import ReducedProblem, SearchStats, plll_reduce, se_search
 from intlowrank.linalg import int_det
 
 
@@ -216,6 +216,51 @@ class TestBoxedSearch:
         box = BoxConstraint([0], [4])
         z = boxed_search(rp, box, BoundTable.zero(1))
         assert np.array_equal(z, [4])
+
+
+def _wide_box_matches_unbounded(rp):
+    """se_search and boxed_search on a box no center reaches agree exactly."""
+    n = rp.n
+    plain, wide = SearchStats(), SearchStats()
+    z_plain = se_search(rp, stats=plain)
+    box = BoxConstraint.uniform(n, -(10**6), 10**6)
+    z_wide = boxed_search(rp, box, BoundTable.zero(n), stats=wide)
+    assert np.array_equal(z_plain, z_wide)
+    assert plain.nodes == wide.nodes
+    assert plain.betas == wide.betas
+
+
+class TestSharedEnumeration:
+    def test_random_triangular_problems(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n = int(rng.integers(1, 8))
+            R = np.triu(rng.normal(size=(n, n)))
+            R[np.diag_indices(n)] = rng.uniform(0.2, 3.0, size=n) * rng.choice([-1, 1], size=n)
+            y_hat = rng.normal(scale=5.0, size=n)
+            _wide_box_matches_unbounded(
+                ReducedProblem(R=R, Z=np.eye(n, dtype=np.int64), y_hat=y_hat, offset=0.0)
+            )
+
+    def test_reduced_integer_problems(self):
+        rng = np.random.default_rng(32)
+        for _ in range(100):
+            n = int(rng.integers(1, 7))
+            H = random_full_rank(rng, n + 1, n)
+            y = rng.integers(-40, 41, size=n + 1)
+            _wide_box_matches_unbounded(plll_reduce(H.astype(float), y.astype(float)))
+
+    def test_half_integer_tie(self):
+        # The one order an alternating zigzag visits differently: see
+        # test_ils.py::TestSESearch::test_half_integer_tie_takes_upper_neighbour_first.
+        _wide_box_matches_unbounded(
+            ReducedProblem(
+                R=np.array([[4.0, 0.0, -1.0], [0.0, 4.0, -1.0], [0.0, 0.0, 1.0]]),
+                Z=np.eye(3, dtype=np.int64),
+                y_hat=np.array([0.0, 3.5, 10.5]),
+                offset=0.0,
+            )
+        )
 
 
 class TestSolveILSb:

@@ -310,32 +310,6 @@ class TestTrivialExperimentCases:
         assert all(a <= b for a, b in pairs)
 
 
-class TestParallelismCap:
-    def test_thread_cap_does_not_change_results(self, tmp_path, monkeypatch):
-        a = tmp_path / "A.txt"
-        save_matrix(a, TRANSACTIONS[:, :5])
-
-        def run(name):
-            out = tmp_path / name
-            rc = main(
-                [
-                    "experiment-distribution",
-                    "--a-file", str(a),
-                    "--rank", "2",
-                    "--box", "0", "4",
-                    "--trials", "6",
-                    "--seed", "9",
-                    "--out", str(out),
-                ]
-            )
-            assert rc == EXIT_OK
-            return out.read_text()
-
-        sequential = run("seq.csv")
-        monkeypatch.setenv("INTLOWRANK_THREADS", "4")
-        assert run("par.csv") == sequential
-
-
 class TestFactorizeEmptyBox:
     def test_empty_factor_box_exit_code(self, tmp_path):
         a = tmp_path / "A.txt"

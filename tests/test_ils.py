@@ -183,7 +183,28 @@ class TestSESearch:
         rp = ReducedProblem(
             R=np.array([[2.0]]), Z=np.eye(1, dtype=np.int64), y_hat=np.array([7.0]), offset=0.0
         )
-        assert np.array_equal(se_search(rp), [4])  # 7/2 = 3.5 rounds away to 4
+        stats = SearchStats()
+        assert np.array_equal(se_search(rp, stats=stats), [4])  # 7/2 = 3.5 rounds away to 4
+        assert stats.nodes == 1
+        assert se_search(rp, beta0=0.2) is None  # the best squared residual is 1.0
+
+    def test_half_integer_tie_takes_upper_neighbour_first(self):
+        from intlowrank.ils import ReducedProblem
+
+        # The top level's center 10.5 rounds to 11, then steps to 10; its
+        # next candidates 9 and 12 tie at distance 1.5, and 9 goes first
+        # because the center lies below the first integer 11. An
+        # alternating zigzag would take 12 first and stop after 15 nodes.
+        rp = ReducedProblem(
+            R=np.array([[4.0, 0.0, -1.0], [0.0, 4.0, -1.0], [0.0, 0.0, 1.0]]),
+            Z=np.eye(3, dtype=np.int64),
+            y_hat=np.array([0.0, 3.5, 10.5]),
+            offset=0.0,
+        )
+        stats = SearchStats()
+        assert np.array_equal(se_search(rp, stats=stats), [3, 4, 12])
+        assert stats.nodes == 17
+        assert stats.betas == [3.5, 2.5]
 
     def test_finite_bound_can_exclude_everything(self):
         from intlowrank.ils import ReducedProblem
