@@ -58,8 +58,11 @@ def _fmt_num(v):
     return str(v)
 
 
-def _load_float_matrix(path):
-    return np.asarray(load_matrix(path), dtype=float)
+def _load_finite_matrix(path):
+    M = np.asarray(load_matrix(path), dtype=float)
+    if not np.isfinite(M).all():
+        raise MatrixParseError(f"{path}: non-finite entry")
+    return M
 
 
 def _load_int_matrix(path):
@@ -70,8 +73,8 @@ def _load_int_matrix(path):
 
 
 def cmd_ils(args):
-    H = _load_float_matrix(args.h_file)
-    y = as_vector(load_matrix(args.y_file), name="y").astype(float)
+    H = _load_finite_matrix(args.h_file)
+    y = as_vector(_load_finite_matrix(args.y_file), name="y")
     if H.ndim != 2 or H.shape[0] != y.shape[0]:
         raise MatrixParseError(
             f"dimension mismatch: H is {H.shape}, y has length {y.shape[0]}"
@@ -153,11 +156,8 @@ def cmd_factorize(args):
         "status": result.status,
         "sweeps": result.sweeps,
         "wall_time_s": wall,
-        "search_nodes_total": sum(n for *_, n in result.subproblem_nodes),
-        "subproblem_nodes": [
-            {"sweep": s, "block": b, "index": i, "nodes": n}
-            for s, b, i, n in result.subproblem_nodes
-        ],
+        "search_nodes_total": sum(result.half_sweep_nodes),
+        "half_sweep_nodes": result.half_sweep_nodes,
         "factor_files": written,
     }
     report_path = f"{prefix}.report.json"

@@ -170,10 +170,11 @@ def init_random(n_rows, n_cols, lo, hi, seed):
 class FactorizationConfig:
     """Settings for one factorization run.
 
-    init is "most_frequent", "random" (drawing entries from box_v, or
-    box_u when the V block updates first), or an explicit initial factor.
-    box_u / box_v are scalar intervals applied entrywise. method "ils"
-    solves every block subproblem globally; "rounded_ls" is the rounding
+    The run starts from a k x n factor V and updates U first. init is
+    "most_frequent", "random" (drawing entries from box_v, or from the
+    range of A when there is no box), or an explicit initial V. box_u /
+    box_v are scalar intervals applied entrywise. method "ils" solves
+    every block subproblem globally; "rounded_ls" is the rounding
     baseline.
     """
 
@@ -183,7 +184,6 @@ class FactorizationConfig:
     box_v: tuple | None = None
     init: str | np.ndarray = "most_frequent"
     seed: int | None = None
-    order: str = "u_first"
     method: str = "ils"
 
 
@@ -192,8 +192,8 @@ class FactorizationResult:
     """Factors, exact per-half-sweep residuals, and the stopping cause.
 
     U is None when rank deficiency struck before the first half-sweep
-    completed. subproblem_nodes lists one (sweep, block, index, nodes)
-    entry per solved row/column problem.
+    completed. half_sweep_nodes holds, for each residual_history entry,
+    the search nodes spent by the block update that produced it.
     """
 
     U: np.ndarray | None
@@ -201,7 +201,7 @@ class FactorizationResult:
     residual_history: list
     status: str
     sweeps: int
-    subproblem_nodes: list = field(default_factory=list)
+    half_sweep_nodes: list = field(default_factory=list)
 
     @property
     def final_residual(self):
@@ -209,106 +209,75 @@ class FactorizationResult:
 
 
 def _initial_factor(A, config):
-    m, n = A.shape
     k = config.rank
-    u_first = config.order == "u_first"
-    shape = (k, n) if u_first else (m, k)
+    n = A.shape[1]
     if isinstance(config.init, str):
         if config.init == "most_frequent":
-            return init_most_frequent(A, k) if u_first else init_most_frequent(A.T, k).T
+            return init_most_frequent(A, k)
         if config.init == "random":
-            box = config.box_v if u_first else config.box_u
-            if box is None:
-                box = (int(A.min()), int(A.max()))
-            return init_random(*shape, box[0], box[1], config.seed)
+            lo, hi = config.box_v if config.box_v is not None else (int(A.min()), int(A.max()))
+            return init_random(k, n, lo, hi, config.seed)
         raise ValueError(f"unknown init {config.init!r}")
     V0 = as_int_matrix(config.init)
-    if V0.shape != shape:
-        raise ValueError(f"explicit init has shape {V0.shape}, expected {shape}")
+    if V0.shape != (k, n):
+        raise ValueError(f"explicit init has shape {V0.shape}, expected {(k, n)}")
     return V0
 
 
 def bcd_factorize(A, config):
-    """Alternate globally optimal block updates until the iterates repeat.
+    """Alternate globally optimal updates of U, then V, until the iterates repeat.
 
     Stops when a full sweep leaves both factors unchanged, when the exact
     residual reaches zero, or after max_sweeps. Rank collapse of an
     iterate ends the run with the last consistent factors and status
-    "rank_deficient_failure" rather than raising.
+    "rank_deficient_failure" rather than raising. A V-first run is this
+    run on A.T with the factors transposed.
     """
     A = as_int_matrix(A)
     m, n = A.shape
     k = int(config.rank)
     if not 1 <= k < min(m, n):
         raise ValueError(f"rank must satisfy 1 <= k < min(m, n) = {min(m, n)}")
-    if config.order not in ("u_first", "v_first"):
-        raise ValueError(f"unknown order {config.order!r}")
+    if config.max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be at least 1, got {config.max_sweeps}")
     if config.method not in ("ils", "rounded_ls"):
         raise ValueError(f"unknown method {config.method!r}")
     box_u = BoxConstraint.uniform(k, *config.box_u) if config.box_u is not None else None
     box_v = BoxConstraint.uniform(k, *config.box_v) if config.box_v is not None else None
 
-    u_first = config.order == "u_first"
     U = None
-    V = None
-    if u_first:
-        V = _initial_factor(A, config)
-    else:
-        U = _initial_factor(A, config)
-
+    V = _initial_factor(A, config)
     history = []
     nodes = []
     status = STATUS_MAX_SWEEPS
-    sweeps = 0
-
-    def _half_sweep(sweep, block):
-        counts = []
-        if block == "U":
-            new = update_u(A, V, box_u, method=config.method, node_counts=counts)
-        else:
-            new = update_v(A, U, box_v, method=config.method, node_counts=counts)
-        nodes.extend((sweep, block, i, c) for i, c in enumerate(counts))
-        return new
-
-    blocks = ("U", "V") if u_first else ("V", "U")
-    for sweep in range(1, config.max_sweeps + 1):
-        sweeps = sweep
-        prev_u = None if U is None else U.copy()
-        prev_v = None if V is None else V.copy()
-        stopped = False
-        for block in blocks:
-            try:
-                new = _half_sweep(sweep, block)
-            except RankDeficientError:
-                status = STATUS_RANK_DEFICIENT
-                stopped = True
-                break
-            if block == "U":
-                U = new
-            else:
-                V = new
+    # update_u and update_v return new arrays, so prev_u and prev_v keep
+    # the factors as they were at the start of the sweep.
+    try:
+        for sweep in range(1, config.max_sweeps + 1):
+            prev_u, prev_v = U, V
+            counts = []
+            U = update_u(A, V, box_u, method=config.method, node_counts=counts)
             history.append(residual(A, U, V))
+            nodes.append(sum(counts))
             if history[-1] == 0:
                 status = STATUS_CONVERGED
-                stopped = True
                 break
-        if stopped:
-            break
-        unchanged = (
-            prev_u is not None
-            and prev_v is not None
-            and np.array_equal(U, prev_u)
-            and np.array_equal(V, prev_v)
-        )
-        if unchanged:
-            status = STATUS_CONVERGED
-            break
+            counts = []
+            V = update_v(A, U, box_v, method=config.method, node_counts=counts)
+            history.append(residual(A, U, V))
+            nodes.append(sum(counts))
+            unchanged = sweep > 1 and np.array_equal(U, prev_u) and np.array_equal(V, prev_v)
+            if history[-1] == 0 or unchanged:
+                status = STATUS_CONVERGED
+                break
+    except RankDeficientError:
+        status = STATUS_RANK_DEFICIENT
 
     return FactorizationResult(
         U=U,
         V=V,
         residual_history=history,
         status=status,
-        sweeps=sweeps,
-        subproblem_nodes=nodes,
+        sweeps=sweep,
+        half_sweep_nodes=nodes,
     )

@@ -59,6 +59,15 @@ class TestIlsCommand:
     def test_empty_box_exit_code(self, counterexample_files):
         assert main(["ils", *counterexample_files, "--box", "3", "1"]) == EXIT_EMPTY_BOX
 
+    @pytest.mark.parametrize("box", [[], ["--box", "0", "3"]])
+    @pytest.mark.parametrize("h_text, y_text", [("1 nan\n0 1\n", "1\n2\n"),
+                                                ("1 0\n0 1\n", "1\ninf\n")])
+    def test_non_finite_entry_exit_code(self, tmp_path, capsys, h_text, y_text, box):
+        (tmp_path / "H.txt").write_text(h_text)
+        (tmp_path / "y.txt").write_text(y_text)
+        assert main(["ils", str(tmp_path / "H.txt"), str(tmp_path / "y.txt"), *box]) == EXIT_USAGE
+        assert "non-finite entry" in capsys.readouterr().err
+
 
 class TestFactorizeCommand:
     def test_worked_boxed_run(self, tmp_path, capsys):
@@ -83,7 +92,8 @@ class TestFactorizeCommand:
         assert report["residual_history"][-1] == 1
         assert report["status"] == "converged"
         assert report["search_nodes_total"] >= 1
-        assert len(report["subproblem_nodes"]) >= 1
+        assert len(report["half_sweep_nodes"]) == len(report["residual_history"])
+        assert sum(report["half_sweep_nodes"]) == report["search_nodes_total"]
 
     def test_explicit_init_recovers_product(self, tmp_path, capsys):
         a = tmp_path / "A.txt"
@@ -121,6 +131,16 @@ class TestFactorizeCommand:
         a = tmp_path / "A.txt"
         save_matrix(a, TRANSACTIONS)
         assert main(["factorize", str(a), "--rank", "9"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("max_sweeps", ["0", "-1"])
+    def test_bad_max_sweeps_is_parameter_error(self, tmp_path, capsys, max_sweeps):
+        a = tmp_path / "A.txt"
+        save_matrix(a, TRANSACTIONS)
+        rc = main(["factorize", str(a), "--rank", "2", "--max-sweeps", max_sweeps,
+                   "--out-prefix", str(tmp_path / "run")])
+        assert rc == EXIT_USAGE
+        assert "max_sweeps must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "run.V.txt").exists()
 
 
 class TestDistributionCommand:

@@ -304,22 +304,36 @@ class TestBCDFactorize:
         assert result.U is None
         assert result.residual_history == []
 
-    def test_v_first_order(self):
+    def test_transposed_run_is_v_first(self):
         A = RANK2_U @ RANK2_V
-        config = FactorizationConfig(rank=2, init=RANK2_U, order="v_first")
-        result = bcd_factorize(A, config)
+        result = bcd_factorize(A.T, FactorizationConfig(rank=2, init=RANK2_U.T))
         assert result.residual_history[0] == 0
 
     def test_invalid_rank_rejected(self):
         with pytest.raises(ValueError):
             bcd_factorize(TRANSACTIONS, FactorizationConfig(rank=5))
 
-    def test_subproblem_nodes_logged(self):
-        result = bcd_factorize(TRANSACTIONS, FactorizationConfig(rank=2))
-        assert result.subproblem_nodes
-        sweep, block, index, nodes = result.subproblem_nodes[0]
-        assert (sweep, block, index) == (1, "U", 0)
-        assert nodes >= 1
+    @pytest.mark.parametrize("box", [None, (0, 4)], ids=["unboxed", "boxed"])
+    def test_half_sweep_nodes_logged(self, box):
+        config = FactorizationConfig(rank=2, box_u=box, box_v=box)
+        result = bcd_factorize(TRANSACTIONS, config)
+        assert len(result.half_sweep_nodes) == len(result.residual_history) >= 2
+        # Replay the run: entry h is the node sum of the h-th block update.
+        cons = BoxConstraint.uniform(2, *box) if box else None
+        U, V = None, init_most_frequent(TRANSACTIONS, 2)
+        for h, logged in enumerate(result.half_sweep_nodes):
+            counts = []
+            if h % 2 == 0:
+                U = update_u(TRANSACTIONS, V, cons, node_counts=counts)
+            else:
+                V = update_v(TRANSACTIONS, U, cons, node_counts=counts)
+            assert logged == sum(counts) >= 1
+        assert np.array_equal(U, result.U) and np.array_equal(V, result.V)
+
+    @pytest.mark.parametrize("max_sweeps", [0, -1])
+    def test_invalid_max_sweeps_rejected(self, max_sweeps):
+        with pytest.raises(ValueError, match="max_sweeps"):
+            bcd_factorize(TRANSACTIONS, FactorizationConfig(rank=2, max_sweeps=max_sweeps))
 
     def test_max_sweeps_status(self):
         rng = np.random.default_rng(35)
