@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EmptyBoxError
-from .ils import ReducedProblem, SearchStats, _enumerate, _project
+from .ils import ReducedProblem, _enumerate, _project
 from .linalg import givens_coeffs, householder_qr, require_finite, rotate_rows, round_half_away
 
 _SIGN_TOL = 1e-12
@@ -225,43 +225,38 @@ def boxed_search(rp, box, bounds, beta0=np.inf, stats=None, trace=None):
     return _enumerate(rp, lower, upper, gamma, beta0, stats, trace)
 
 
-def _search(rp, permuted_box, stats):
-    bounds = compute_bound_table(rp.R, rp.y_hat, permuted_box)
-    return rp.Z @ boxed_search(rp, permuted_box, bounds, stats=stats)
-
-
 def solve_ilsb(H, y, box, stats=None):
     """Globally minimize ||y - H x||_2^2 over integer x inside the box.
 
-    Returns (x, residual_sq). H must have full column rank and the box
-    must be nonempty (BoxConstraint construction enforces it).
+    The one-column case of solve_ilsb_many. Returns (x, residual_sq).
+    H must have full column rank and the box must be nonempty
+    (BoxConstraint construction enforces it).
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    rp, permuted_box = mch_reduce(H, y, box)
-    x = _search(rp, permuted_box, stats)
+    x = solve_ilsb_many(H, y[:, None], box, stats)[:, 0]
     r = y - H @ x
     return x, float(r @ r)
 
 
-def solve_ilsb_many(H, Y, box):
+def solve_ilsb_many(H, Y, box, stats=None):
     """Globally minimize ||Y[:, j] - H x_j||_2^2 inside the box, for every column j.
 
     The column order of the reduction depends on each right-hand side,
-    so only the QR of H and R^{-T} are shared. Returns (X, stats):
-    column j of X is x_j and stats[j] holds that search's SearchStats.
+    so only the QR of H and R^{-T} are shared; each column is reordered
+    as mch_reduce would, then searched, and every search adds its nodes
+    to stats. Returns X, whose column j is x_j.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
         raise ValueError(f"Y must be an m-by-p block of right-hand sides, got shape {Y.shape}")
-    require_finite(Y, "Y")
+    require_finite(Y, "y")
     _check_box(H, box)
     factors = _factor(H)
     X = np.empty((H.shape[1], Y.shape[1]), dtype=np.int64, order="F")
-    stats = []
     for j in range(X.shape[1]):
-        stats.append(SearchStats())
         rp, permuted_box = _reorder(factors, np.ascontiguousarray(Y[:, j]), box)
-        X[:, j] = _search(rp, permuted_box, stats[-1])
-    return X, stats
+        bounds = compute_bound_table(rp.R, rp.y_hat, permuted_box)
+        X[:, j] = rp.Z @ boxed_search(rp, permuted_box, bounds, stats=stats)
+    return X

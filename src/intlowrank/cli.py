@@ -3,16 +3,19 @@
 Subcommands: `ils` (one integer least squares solve), `factorize`
 (low-rank factorization of a matrix file, emitting factor files plus a
 JSON run report), and the two experiment harnesses that write CSV.
-Exit codes: 0 success, 2 parse/parameter error, 3 rank-deficient input,
-4 empty box, 5 internal consistency failure (the reported final residual
-does not match the emitted factors).
+Exit codes: 0 success, 2 parse/parameter error or an output file that
+cannot be written, 3 rank-deficient input, 4 empty box, 5 internal
+consistency failure (the reported final residual does not match the
+emitted factors).
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
 import time
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +51,15 @@ FAIL_TOKEN = "FAIL"
 
 class ParameterError(ValueError):
     """Invalid command parameters (exit code 2)."""
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """Report an OSError raised while writing path as a parameter error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _fmt_num(v):
@@ -127,7 +139,8 @@ def cmd_factorize(args):
         if factor is None:
             continue
         path = f"{prefix}.{name}.txt"
-        save_matrix(path, factor)
+        with _writing(path):
+            save_matrix(path, factor)
         written[name] = path
 
     final = result.final_residual
@@ -161,7 +174,7 @@ def cmd_factorize(args):
         "factor_files": written,
     }
     report_path = f"{prefix}.report.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
+    with _writing(report_path), open(report_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
 
@@ -185,13 +198,14 @@ def _check_experiment_params(n, rank, lo, hi, trials):
         raise ParameterError("--trials must be positive")
 
 
-def _write_csv(path, comment_lines, header, rows, footer_lines):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def _write_csv(path, comment_lines, header, outcomes, footer_lines):
+    """One row per outcome dataclass, its fields in the order of header."""
+    with _writing(path), open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in comment_lines:
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_num(v) for v in row) + "\n")
+        for outcome in outcomes:
+            fh.write(",".join(_fmt_num(v) for v in astuple(outcome)) + "\n")
         for line in footer_lines:
             fh.write(f"# {line}\n")
 
@@ -230,8 +244,7 @@ def cmd_experiment_distribution(args):
         f"average: {_fmt_num(summary['average'])}",
         f"modal_band: {band}",
     ]
-    rows = [(o.trial, o.seed, o.residual, o.sweeps, o.status) for o in outcomes]
-    _write_csv(args.out, comments, ("trial", "seed", "residual", "sweeps", "status"), rows, footer)
+    _write_csv(args.out, comments, ("trial", "seed", "residual", "sweeps", "status"), outcomes, footer)
     print(
         f"wrote {args.out}: {args.trials} trials, {summary['fail']} failures, "
         f"wall_time_s={wall:.3f}"
@@ -276,20 +289,6 @@ def cmd_experiment_compare(args):
         "sweeps_baseline",
         "status_baseline",
     )
-    rows = [
-        (
-            o.trial,
-            o.a_seed,
-            o.v0_seed,
-            o.residual_exact,
-            o.sweeps_exact,
-            o.status_exact,
-            o.residual_baseline,
-            o.sweeps_baseline,
-            o.status_baseline,
-        )
-        for o in outcomes
-    ]
     footer = [
         f"ilsb: sweeps_avg={sweeps_avg:.2f} interval={exact['interval']} "
         f"average={_fmt_num(exact['average'])} fail={exact_fail}",
@@ -297,7 +296,7 @@ def cmd_experiment_compare(args):
         f"average={_fmt_num(base['average'])} fail={base_fail}",
         f"percent_superior: {percent:.1f}",
     ]
-    _write_csv(args.out, comments, header, rows, footer)
+    _write_csv(args.out, comments, header, outcomes, footer)
     print(f"wrote {args.out}: percent_superior={percent:.1f}, wall_time_s={wall:.3f}")
     return EXIT_OK
 

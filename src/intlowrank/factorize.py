@@ -20,7 +20,7 @@ import numpy as np
 # perfbench/selftest.py look them up here.
 from .boxed import BoxConstraint, solve_ilsb, solve_ilsb_many  # noqa: F401
 from .exceptions import NotOrthonormalError, RankDeficientError
-from .ils import solve_ils, solve_ils_many  # noqa: F401
+from .ils import SearchStats, solve_ils, solve_ils_many  # noqa: F401
 from .linalg import householder_qr, round_half_away
 
 STATUS_CONVERGED = "converged"
@@ -92,44 +92,38 @@ def rounded_real_ls(H, y, box=None):
     return x
 
 
-def _solve_columns(H, Y, box, method, node_counts):
+def _solve_columns(H, Y, box, method, stats):
     """X with column j minimizing ||Y[:, j] - H x_j||^2, one shared H for all j."""
     if method == "ils":
         if box is None:
-            X, stats = solve_ils_many(H, Y)
-        else:
-            X, stats = solve_ilsb_many(H, Y, box)
-        nodes = [s.nodes for s in stats]
-    else:
-        X = np.empty((H.shape[1], Y.shape[1]), dtype=np.int64, order="F")
-        for j in range(Y.shape[1]):
-            X[:, j] = rounded_real_ls(H, Y[:, j], box)
-        nodes = [0] * Y.shape[1]
-    if node_counts is not None:
-        node_counts.extend(nodes)
+            return solve_ils_many(H, Y, stats)
+        return solve_ilsb_many(H, Y, box, stats)
+    X = np.empty((H.shape[1], Y.shape[1]), dtype=np.int64, order="F")
+    for j in range(Y.shape[1]):
+        X[:, j] = rounded_real_ls(H, Y[:, j], box)
     return X
 
 
-def update_u(A, V, box=None, method="ils", node_counts=None):
+def update_u(A, V, box=None, method="ils", stats=None):
     """Minimize ||A - U V||_F^2 over U, row by row.
 
     Each row of U is an independent integer least squares problem with
     coefficient matrix V^T, which is reduced once for all rows; an
     optional box applies per coordinate to every row. The default method
-    solves every row globally; method "rounded_ls" substitutes the
-    rounding baseline. Raises RankDeficientError when V^T lacks full
-    column rank.
+    solves every row globally and adds each row's search to stats;
+    method "rounded_ls" substitutes the rounding baseline, which does not
+    search. Raises RankDeficientError when V^T lacks full column rank.
     """
     A = as_int_matrix(A)
     V = as_int_matrix(V)
-    return _solve_columns(V.T.astype(float), A.T.astype(float), box, method, node_counts).T
+    return _solve_columns(V.T.astype(float), A.T.astype(float), box, method, stats).T
 
 
-def update_v(A, U, box=None, method="ils", node_counts=None):
+def update_v(A, U, box=None, method="ils", stats=None):
     """Column-wise mirror of update_u: solves min ||A(:,j) - U v|| per column."""
     A = as_int_matrix(A)
     U = as_int_matrix(U)
-    return _solve_columns(U.astype(float), A.astype(float), box, method, node_counts)
+    return _solve_columns(U.astype(float), A.astype(float), box, method, stats)
 
 
 def init_most_frequent(A, k):
@@ -255,17 +249,17 @@ def bcd_factorize(A, config):
     try:
         for sweep in range(1, config.max_sweeps + 1):
             prev_u, prev_v = U, V
-            counts = []
-            U = update_u(A, V, box_u, method=config.method, node_counts=counts)
+            stats = SearchStats()
+            U = update_u(A, V, box_u, method=config.method, stats=stats)
             history.append(residual(A, U, V))
-            nodes.append(sum(counts))
+            nodes.append(stats.nodes)
             if history[-1] == 0:
                 status = STATUS_CONVERGED
                 break
-            counts = []
-            V = update_v(A, U, box_v, method=config.method, node_counts=counts)
+            stats = SearchStats()
+            V = update_v(A, U, box_v, method=config.method, stats=stats)
             history.append(residual(A, U, V))
-            nodes.append(sum(counts))
+            nodes.append(stats.nodes)
             unchanged = sweep > 1 and np.array_equal(U, prev_u) and np.array_equal(V, prev_v)
             if history[-1] == 0 or unchanged:
                 status = STATUS_CONVERGED

@@ -34,7 +34,11 @@ _SWAP_MARGIN = 1e-12
 
 @dataclass
 class SearchStats:
-    """Instrumentation for a single search invocation."""
+    """Search counters, summed over every search they are passed to.
+
+    nodes is the total number of visited nodes; betas holds each
+    search's accepted bounds, in the order the searches ran.
+    """
 
     nodes: int = 0
     betas: list = field(default_factory=list)
@@ -280,31 +284,28 @@ def se_search(rp, beta0=np.inf, stats=None):
 def solve_ils(H, y, stats=None):
     """Globally minimize ||y - H x||_2^2 over integer vectors x.
 
-    Returns (x, residual_sq). H must have full column rank.
+    The one-column case of solve_ils_many. Returns (x, residual_sq).
+    H must have full column rank.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    rp = plll_reduce(H, y)
-    z = se_search(rp, stats=stats)
-    x = rp.Z @ z
+    x = solve_ils_many(H, y[:, None], stats)[:, 0]
     r = y - H @ x
     return x, float(r @ r)
 
 
-def solve_ils_many(H, Y):
+def solve_ils_many(H, Y, stats=None):
     """Globally minimize ||Y[:, j] - H x_j||_2^2 for every column j of Y.
 
     One reduction of H serves every column; each column gets its own
-    search. Returns (X, stats): column j of X is x_j and stats[j] holds
-    that search's SearchStats. H must have full column rank.
+    search, and every search adds its nodes to stats. Returns X, whose
+    column j is x_j. H must have full column rank.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
         raise ValueError(f"Y must be an m-by-p block of right-hand sides, got shape {Y.shape}")
     rp = plll_reduce(H, Y)
     X = np.empty((rp.n, Y.shape[1]), dtype=np.int64, order="F")
-    stats = []
     for j in range(X.shape[1]):
-        stats.append(SearchStats())
-        X[:, j] = rp.Z @ se_search(rp.column(j), stats=stats[-1])
-    return X, stats
+        X[:, j] = rp.Z @ se_search(rp.column(j), stats=stats)
+    return X

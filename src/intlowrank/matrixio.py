@@ -9,6 +9,8 @@ import numpy as np
 
 from .exceptions import MatrixParseError
 
+_I64 = np.iinfo(np.int64)
+
 
 def parse_matrix(text):
     rows = []
@@ -29,6 +31,9 @@ def parse_matrix(text):
         raise MatrixParseError("no matrix rows found")
     try:
         return np.array([[int(t) for t in toks] for _, toks in rows], dtype=np.int64)
+    except OverflowError:
+        lineno = next(n for n, toks in rows if any(not _I64.min <= int(t) <= _I64.max for t in toks))
+        raise MatrixParseError(f"line {lineno}: integer entry outside the int64 range") from None
     except ValueError:
         pass
     try:

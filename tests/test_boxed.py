@@ -15,6 +15,7 @@ from intlowrank.boxed import (
     in_box_rounding,
     mch_reduce,
     solve_ilsb,
+    solve_ilsb_many,
 )
 from intlowrank.exceptions import EmptyBoxError
 from intlowrank.ils import ReducedProblem, SearchStats, plll_reduce, se_search
@@ -291,6 +292,40 @@ class TestSolveILSb:
         assert resid_sq > 1.0
         oracle = brute_box_min(H.astype(int), y.astype(int), box.lower, box.upper)
         assert exact_residual_sq(H.astype(int), y.astype(int), x) == oracle
+
+
+class TestSharedFactorization:
+    """The block solver must reproduce every one-column solve exactly."""
+
+    def test_solve_many_matches_solve_per_column(self):
+        rng = np.random.default_rng(43)
+        for n in (1, 1, 2, 3, 4, 5):
+            H = random_full_rank(rng, n + 2, n, lo=-20, hi=20).astype(float)
+            Y = rng.integers(-60, 61, size=(n + 2, 7)).astype(float)
+            lo = rng.integers(-4, 1, size=n)
+            box = BoxConstraint(lo, lo + rng.integers(0, 6, size=n))  # some singletons
+            block = SearchStats()
+            X = solve_ilsb_many(H, Y, box, stats=block)
+            assert X.shape == (n, 7)
+            nodes, betas = 0, []
+            for j in range(7):
+                single, direct = SearchStats(), SearchStats()
+                x, _ = solve_ilsb(H, Y[:, j], box, stats=single)
+                assert np.array_equal(X[:, j], x)
+                # The one-column solve is the reduction and search of the vector.
+                rp, pbox = mch_reduce(H, Y[:, j], box)
+                table = compute_bound_table(rp.R, rp.y_hat, pbox)
+                assert np.array_equal(x, rp.Z @ boxed_search(rp, pbox, table, stats=direct))
+                assert (single.nodes, single.betas) == (direct.nodes, direct.betas)
+                nodes += single.nodes
+                betas += single.betas
+            # The block's stats sum the columns' searches, in column order.
+            assert block.nodes == nodes
+            assert block.betas == betas
+
+    def test_block_must_be_two_dimensional(self):
+        with pytest.raises(ValueError):
+            solve_ilsb_many(np.eye(2), np.ones(2), BoxConstraint.uniform(2, 0, 1))
 
 
 class TestFiniteBound:

@@ -69,6 +69,37 @@ class TestIlsCommand:
         assert "non-finite entry" in capsys.readouterr().err
 
 
+def assert_one_error_line(capsys, text):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and text in err
+
+
+class TestOutOfRangeEntry:
+    @pytest.mark.parametrize("command", ["ils", "factorize"])
+    def test_integer_beyond_int64_exit_code(self, tmp_path, capsys, command):
+        (tmp_path / "A.txt").write_text("1 99999999999999999999\n3 4\n")
+        (tmp_path / "y.txt").write_text("1\n2\n")
+        args = [str(tmp_path / "y.txt")] if command == "ils" else ["--rank", "1"]
+        assert main([command, str(tmp_path / "A.txt"), *args]) == EXIT_USAGE
+        assert_one_error_line(capsys, "line 1: integer entry outside the int64 range")
+
+
+class TestUnwritableOutput:
+    def test_factorize_out_prefix(self, tmp_path, capsys):
+        a = tmp_path / "A.txt"
+        save_matrix(a, TRANSACTIONS)
+        rc = main(["factorize", str(a), "--rank", "2", "--out-prefix", str(tmp_path / "no" / "o")])
+        assert rc == EXIT_USAGE
+        assert_one_error_line(capsys, f"cannot write {tmp_path / 'no' / 'o'}.U.txt")
+
+    @pytest.mark.parametrize("command", ["experiment-compare", "experiment-distribution"])
+    def test_experiment_out(self, tmp_path, capsys, command):
+        rank = ["--rank", "1"] if command == "experiment-distribution" else []
+        rc = main([command, "--n", "4", *rank, "--trials", "1", "--out", str(tmp_path / "no" / "c.csv")])
+        assert rc == EXIT_USAGE
+        assert_one_error_line(capsys, f"cannot write {tmp_path / 'no' / 'c.csv'}")
+
+
 class TestFactorizeCommand:
     def test_worked_boxed_run(self, tmp_path, capsys):
         a = tmp_path / "A.txt"

@@ -151,21 +151,23 @@ class TestUpdates:
         V = random_full_rank(rng, 7, k, lo=-4, hi=4).T
         U = random_full_rank(rng, 9, k, lo=-4, hi=4)
         cons = BoxConstraint.uniform(k, *box) if box else None
-        u_counts, v_counts = [], []
-        new_u = update_u(A, V, cons, node_counts=u_counts)
-        new_v = update_v(A, U, cons, node_counts=v_counts)
+        u_stats, v_stats = SearchStats(), SearchStats()
+        new_u = update_u(A, V, cons, stats=u_stats)
+        new_v = update_v(A, U, cons, stats=v_stats)
         assert new_u.shape == (9, k) and new_v.shape == (k, 7)
-        for H, rows, targets, counts in ((V.T, new_u, A, u_counts), (U, new_v.T, A.T, v_counts)):
-            assert len(counts) == len(targets)
+        for H, rows, targets, block in ((V.T, new_u, A, u_stats), (U, new_v.T, A.T, v_stats)):
+            # One stats object over the row solves sums their nodes and
+            # concatenates their betas in row order, as the update must.
+            stats = SearchStats()
             for i, y in enumerate(targets):
-                stats = SearchStats()
                 H_f, y_f = H.astype(float), y.astype(float)
                 if cons is None:
                     x, _ = solve_ils(H_f, y_f, stats=stats)
                 else:
                     x, _ = solve_ilsb(H_f, y_f, cons, stats=stats)
                 assert np.array_equal(rows[i], x)
-                assert counts[i] == stats.nodes
+            assert block.nodes == stats.nodes
+            assert block.betas == stats.betas
 
     @pytest.mark.parametrize("box", [None, BoxConstraint.uniform(2, 0, 3)])
     def test_rank_deficient_factor_raises(self, box):
@@ -176,10 +178,14 @@ class TestUpdates:
             update_v(TRANSACTIONS.T, deficient.T, box)
 
     def test_node_counts_collected(self):
-        counts = []
-        update_u(TRANSACTIONS, TRANSACTIONS_V0, node_counts=counts)
-        assert len(counts) == TRANSACTIONS.shape[0]
-        assert all(c >= 1 for c in counts)
+        stats = SearchStats()
+        update_u(TRANSACTIONS, TRANSACTIONS_V0, stats=stats)
+        # Every row's search visits a node and accepts a first bound.
+        assert stats.nodes >= TRANSACTIONS.shape[0]
+        assert len(stats.betas) >= TRANSACTIONS.shape[0]
+        baseline = SearchStats()
+        update_u(TRANSACTIONS, TRANSACTIONS_V0, method="rounded_ls", stats=baseline)
+        assert baseline.nodes == 0 and baseline.betas == []
 
 
 class TestInitMostFrequent:
@@ -322,12 +328,12 @@ class TestBCDFactorize:
         cons = BoxConstraint.uniform(2, *box) if box else None
         U, V = None, init_most_frequent(TRANSACTIONS, 2)
         for h, logged in enumerate(result.half_sweep_nodes):
-            counts = []
+            stats = SearchStats()
             if h % 2 == 0:
-                U = update_u(TRANSACTIONS, V, cons, node_counts=counts)
+                U = update_u(TRANSACTIONS, V, cons, stats=stats)
             else:
-                V = update_v(TRANSACTIONS, U, cons, node_counts=counts)
-            assert logged == sum(counts) >= 1
+                V = update_v(TRANSACTIONS, U, cons, stats=stats)
+            assert logged == stats.nodes >= 1
         assert np.array_equal(U, result.U) and np.array_equal(V, result.V)
 
     @pytest.mark.parametrize("max_sweeps", [0, -1])

@@ -284,14 +284,23 @@ class TestSharedReduction:
         rng = np.random.default_rng(42)
         for n in (1, 1, 2, 3, 4, 5):
             H, Y = self._block(rng, n + 2, n, 7)
-            X, stats = solve_ils_many(H, Y)
-            assert X.shape == (n, 7) and len(stats) == 7
+            block = SearchStats()
+            X = solve_ils_many(H, Y, stats=block)
+            assert X.shape == (n, 7)
+            nodes, betas = 0, []
             for j in range(7):
-                single = SearchStats()
+                single, direct = SearchStats(), SearchStats()
                 x, _ = solve_ils(H, Y[:, j], stats=single)
                 assert np.array_equal(X[:, j], x)
-                assert stats[j].nodes == single.nodes
-                assert stats[j].betas == single.betas
+                # The one-column solve is the reduction and search of the vector.
+                rp = plll_reduce(H, Y[:, j])
+                assert np.array_equal(x, rp.Z @ se_search(rp, stats=direct))
+                assert (single.nodes, single.betas) == (direct.nodes, direct.betas)
+                nodes += single.nodes
+                betas += single.betas
+            # The block's stats sum the columns' searches, in column order.
+            assert block.nodes == nodes
+            assert block.betas == betas
 
     def test_rank_deficient_block_raises(self):
         H = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])

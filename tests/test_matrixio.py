@@ -38,6 +38,16 @@ class TestParse:
         with pytest.raises(MatrixParseError):
             parse_matrix("# nothing here\n")
 
+    def test_int64_limits_load(self):
+        M = parse_matrix("-9223372036854775808 9223372036854775807\n0 1\n")
+        assert M.dtype == np.int64
+        assert M[0, 0] == np.iinfo(np.int64).min and M[0, 1] == np.iinfo(np.int64).max
+
+    @pytest.mark.parametrize("entry", ["99999999999999999999", "-9223372036854775809"])
+    def test_integer_beyond_int64_names_its_line(self, entry):
+        with pytest.raises(MatrixParseError, match="line 3: integer entry outside the int64 range"):
+            parse_matrix(f"1 2\n# comment\n3 {entry}\n")
+
 
 class TestRoundTrip:
     def test_int_round_trip(self):
