@@ -9,13 +9,15 @@ bounds and a table of precomputed per-level bounds that tighten its
 radius test.
 """
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .exceptions import EmptyBoxError
 from .ils import ReducedProblem, _enumerate, _project
-from .linalg import givens_coeffs, householder_qr, require_finite, rotate_rows, round_half_away
+from .linalg import givens_coeffs, householder_qr, pairwise_sum, require_finite
 
 _SIGN_TOL = 1e-12
 
@@ -81,7 +83,8 @@ def in_box_rounding(c, lo, hi):
     """
     if lo > hi:
         raise EmptyBoxError(f"empty interval [{lo}, {hi}]")
-    nearest = min(max(int(round_half_away(c)), lo), hi)
+    # The clamped rounding, half away from zero as in linalg.round_half_away.
+    nearest = min(max(math.floor(c + 0.5) if c >= 0 else -math.floor(0.5 - c), lo), hi)
     if lo == hi:
         return nearest, None
     below, above = nearest - 1, nearest + 1
@@ -119,67 +122,71 @@ def mch_reduce(H, y, box):
     already-fixed contributions removed), the winner rotates into the last
     open position, and the shifted columns are re-triangularized with
     Givens rotations. Z is a permutation matrix, so the returned
-    constraint set is the coordinate-permuted box.
+    constraint set is the coordinate-permuted box. The pass runs on
+    Python lists, with the array form's results and R layout (_reorder).
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     require_finite(y, "y")
     _check_box(H, box)
-    return _reorder(_factor(H), y, box)
+    rp, permuted_box, _ = _reorder(_factor(H), y, box)
+    return rp, permuted_box
 
 
 def _reorder(factors, y, box):
-    """mch_reduce on a shared _factor(H); reorders copies, never the factors."""
-    Q1, R, S = factors  # S = R^{-T}, kept in sync with R
-    n = R.shape[0]
-    y_hat, offset = _project(Q1, y)
-    y_bar = y_hat.copy()
-    lower = box.lower.copy()
-    upper = box.upper.copy()
-    cols = np.arange(n)
+    """mch_reduce on a shared _factor(H), plus the bound table of its result.
 
+    Returns (rp, permuted_box, bounds); reorders copies, never the factors.
+    Runs on Python lists, as ils._enumerate does, since numpy calls per
+    entry would dominate a row's cost. Rotations are the array form's
+    elementwise operations with givens_coeffs' coefficients. Centers and
+    norms are sequential sums, which can differ from a BLAS dot product in
+    the last bit and so change the order only at a near-tie. R keeps the
+    array form's layout, the factor's C-ordered R unless a column moves and
+    F-ordered otherwise, because the search's BLAS row products depend on it.
+    """
+    Q1, R_factor, S = factors  # S = R^{-T}, kept in sync with R
+    n = R_factor.shape[0]
+    y_vec, offset = _project(Q1, y)
+    R, S, y_hat = R_factor.tolist(), S.tolist(), y_vec.tolist()
+    y_bar, lower, upper = y_hat[:], box.lower.tolist(), box.upper.tolist()
+    cols = list(range(n))
+    moved = False
     for kappa in range(n, 1, -1):
         last = kappa - 1
-        best_gap = -1.0
-        best_i = 0
-        best_fix = 0
+        best_gap, best_i, best_fix = -1.0, 0, 0
         for i in range(kappa):
-            s_col = S[i:kappa, i]
-            center = float(y_bar[i:kappa] @ s_col)
-            nearest, second = in_box_rounding(center, int(lower[i]), int(upper[i]))
-            if second is None:
-                gap = np.inf  # forced coordinate: nothing to branch on
-            else:
-                gap = abs(center - second) / float(np.linalg.norm(s_col))
+            center = norm_sq = 0.0
+            for S_r, y_r in zip(S[i:kappa], y_bar[i:kappa]):
+                s_ri = S_r[i]
+                center += y_r * s_ri
+                norm_sq += s_ri * s_ri
+            nearest, second = in_box_rounding(center, lower[i], upper[i])
+            # A forced coordinate has nothing to branch on.
+            gap = math.inf if second is None else abs(center - second) / math.sqrt(norm_sq)
             if gap > best_gap:
-                best_gap = gap
-                best_i = i
-                best_fix = nearest
-        y_bar = y_bar - R[:, best_i] * best_fix
-        if best_i != last:
-            order = np.r_[
-                np.arange(best_i),
-                np.arange(best_i + 1, kappa),
-                best_i,
-                np.arange(kappa, n),
-            ]
-            R = R[:, order]
-            S = S[:, order]
-            cols = cols[order]
-            lower = lower[order]
-            upper = upper[order]
-            for p in range(best_i, last):
-                c, s = givens_coeffs(R[p, p], R[p + 1, p])
-                rotate_rows(R, p, p + 1, c, s)
-                R[p + 1, p] = 0.0
-                rotate_rows(S, p, p + 1, c, s)
-                rotate_rows(y_hat, p, p + 1, c, s)
-                rotate_rows(y_bar, p, p + 1, c, s)
-
+                best_gap, best_i, best_fix = gap, i, nearest
+        for r in range(best_i + 1):  # column best_i is zero below its diagonal
+            y_bar[r] -= R[r][best_i] * best_fix
+        if best_i == last:
+            continue
+        moved = True
+        for seq in (*R, *S, cols, lower, upper):
+            seq.insert(last, seq.pop(best_i))
+        for p in range(best_i, last):
+            c, s = givens_coeffs(R[p][p], R[p + 1][p])
+            for M in (R, S):
+                a, b = M[p], M[p + 1]
+                M[p] = [c * u + s * v for u, v in zip(a, b)]
+                M[p + 1] = [-s * u + c * v for u, v in zip(a, b)]
+            R[p + 1][p] = 0.0
+            for v in (y_hat, y_bar):
+                v[p], v[p + 1] = c * v[p] + s * v[p + 1], -s * v[p] + c * v[p + 1]
     Z = np.zeros((n, n), dtype=np.int64)
     Z[cols, np.arange(n)] = 1
-    rp = ReducedProblem(R=R, Z=Z, y_hat=y_hat, offset=offset)
-    return rp, BoxConstraint(lower, upper)
+    R_out = np.array(R, order="F") if moved else R_factor
+    rp = ReducedProblem(R=R_out, Z=Z, y_hat=np.array(y_hat), offset=offset)
+    return rp, BoxConstraint(lower, upper), _bound_table(R, y_hat, lower, upper)
 
 
 def compute_bound_table(R, y_hat, box):
@@ -189,25 +196,29 @@ def compute_bound_table(R, y_hat, box):
     interval by the box; when both endpoints share a sign the squared
     smaller endpoint is a valid lower bound, otherwise the term can vanish
     and the bound is zero. Endpoints within 1e-12 of zero count as
-    sign-straddling.
+    sign-straddling. Runs on Python lists, the code _reorder runs on its
+    result, and sums in numpy's pairwise order, so the table is numpy's.
     """
-    y_hat = np.asarray(y_hat, dtype=float).ravel()
-    n = y_hat.shape[0]
-    lower = box.lower.astype(float)
-    upper = box.upper.astype(float)
-    delta = np.zeros(n)
+    R = np.asarray(R, dtype=float).tolist()
+    y_hat = np.asarray(y_hat, dtype=float).ravel().tolist()
+    return _bound_table(R, y_hat, box.lower.tolist(), box.upper.tolist())
+
+
+def _bound_table(R, y_hat, lower, upper):
+    """compute_bound_table on lists; pairwise_sum keeps numpy's sums bit for bit."""
+    n = len(y_hat)
+    delta = [0.0] * n
     for k in range(n):
-        row = R[k, k:]
-        p = row * lower[k:]
-        q = row * upper[k:]
-        lo_end = y_hat[k] - float(np.maximum(p, q).sum())
-        hi_end = y_hat[k] - float(np.minimum(p, q).sum())
+        # Rounding is monotone: r * hi is the larger product when r > 0.
+        terms = list(zip(R[k][k:], lower[k:], upper[k:]))
+        lo_end = y_hat[k] - pairwise_sum([r * (hi if r > 0 else lo) for r, lo, hi in terms])
+        hi_end = y_hat[k] - pairwise_sum([r * (lo if r > 0 else hi) for r, lo, hi in terms])
         same_positive = lo_end > _SIGN_TOL and hi_end > _SIGN_TOL
         same_negative = lo_end < -_SIGN_TOL and hi_end < -_SIGN_TOL
         if same_positive or same_negative:
             delta[k] = min(lo_end * lo_end, hi_end * hi_end)
-    gamma = np.concatenate(([0.0], np.cumsum(delta)[:-1]))
-    return BoundTable(delta=delta, gamma=gamma)
+    gamma = list(accumulate(delta[:-1], initial=0.0))  # sequential, as np.cumsum
+    return BoundTable(delta=np.array(delta), gamma=np.array(gamma))
 
 
 def boxed_search(rp, box, bounds, beta0=np.inf, stats=None, trace=None):
@@ -243,9 +254,9 @@ def solve_ilsb_many(H, Y, box, stats=None):
     """Globally minimize ||Y[:, j] - H x_j||_2^2 inside the box, for every column j.
 
     The column order of the reduction depends on each right-hand side,
-    so only the QR of H and R^{-T} are shared; each column is reordered
-    as mch_reduce would, then searched, and every search adds its nodes
-    to stats. Returns X, whose column j is x_j.
+    so only the QR of H and R^{-T} are shared; one pass per column
+    reorders it as mch_reduce would and builds its bound table, then a
+    search adds its nodes to stats. Returns X, whose column j is x_j.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     Y = np.asarray(Y, dtype=float)
@@ -256,7 +267,6 @@ def solve_ilsb_many(H, Y, box, stats=None):
     factors = _factor(H)
     X = np.empty((H.shape[1], Y.shape[1]), dtype=np.int64, order="F")
     for j in range(X.shape[1]):
-        rp, permuted_box = _reorder(factors, np.ascontiguousarray(Y[:, j]), box)
-        bounds = compute_bound_table(rp.R, rp.y_hat, permuted_box)
+        rp, permuted_box, bounds = _reorder(factors, np.ascontiguousarray(Y[:, j]), box)
         X[:, j] = rp.Z @ boxed_search(rp, permuted_box, bounds, stats=stats)
     return X

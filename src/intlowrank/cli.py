@@ -6,13 +6,17 @@ JSON run report), and the two experiment harnesses that write CSV.
 Exit codes: 0 success, 2 parse/parameter error or an output file that
 cannot be written, 3 rank-deficient input, 4 empty box, 5 internal
 consistency failure (the reported final residual does not match the
-emitted factors).
+emitted factors), 141 standard output closed before everything was
+written (128 + SIGPIPE, as a shell reports a process that a closed pipe
+ends).
 """
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import astuple
@@ -44,6 +48,7 @@ EXIT_USAGE = 2
 EXIT_RANK_DEFICIENT = 3
 EXIT_EMPTY_BOX = 4
 EXIT_INTERNAL = 5
+EXIT_BROKEN_PIPE = 141
 
 CSV_SCHEMA_VERSION = 1
 FAIL_TOKEN = "FAIL"
@@ -60,6 +65,42 @@ def _writing(path):
         yield
     except OSError as exc:
         raise ParameterError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _write_all(outputs):
+    """Write every (path, write) of outputs, or none of them.
+
+    write(tmp) writes one output to a temporary file beside its path. The
+    temporaries replace their paths only once all are written, and if a
+    replacement fails the outputs already moved into place are removed,
+    so a failed command leaves no partial output behind. Raises
+    ParameterError naming the path that could not be written.
+    """
+    staged, placed = [], []
+    try:
+        for path, write in outputs:
+            staged.append(f"{path}.{os.getpid()}.tmp")
+            with _writing(path):
+                write(staged[-1])
+        for (path, _), tmp in zip(outputs, staged):
+            with _writing(path):
+                os.replace(tmp, path)
+            placed.append(path)
+    except BaseException:
+        for path in placed:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+    finally:
+        for tmp in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+
+
+def _write_report(path, report):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
 
 
 def _fmt_num(v):
@@ -133,16 +174,6 @@ def cmd_factorize(args):
         raise ParameterError(str(exc)) from None
     wall = time.perf_counter() - started
 
-    prefix = args.out_prefix or str(a_path.with_suffix(""))
-    written = {}
-    for name, factor in (("U", result.U), ("V", result.V)):
-        if factor is None:
-            continue
-        path = f"{prefix}.{name}.txt"
-        with _writing(path):
-            save_matrix(path, factor)
-        written[name] = path
-
     final = result.final_residual
     if result.U is not None and result.V is not None:
         recomputed = residual(A, result.U, result.V)
@@ -153,6 +184,9 @@ def cmd_factorize(args):
                 file=sys.stderr,
             )
             return EXIT_INTERNAL
+    prefix = args.out_prefix or str(a_path.with_suffix(""))
+    factors = {name: M for name, M in (("U", result.U), ("V", result.V)) if M is not None}
+    written = {name: f"{prefix}.{name}.txt" for name in factors}
     report = {
         "input": str(a_path),
         "input_sha256": hashlib.sha256(a_path.read_bytes()).hexdigest(),
@@ -174,9 +208,9 @@ def cmd_factorize(args):
         "factor_files": written,
     }
     report_path = f"{prefix}.report.json"
-    with _writing(report_path), open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    outputs = [(written[name], functools.partial(save_matrix, M=M)) for name, M in factors.items()]
+    outputs.append((report_path, functools.partial(_write_report, report=report)))
+    _write_all(outputs)
 
     print(f"status: {result.status}")
     print(f"final_residual: {final if final is not None else 'n/a'}")
@@ -368,7 +402,16 @@ def main(argv=None):
 
 
 def run():
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away. Point stdout at devnull so that the flush
+        # at interpreter exit cannot raise again (the Python docs' SIGPIPE
+        # recipe).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

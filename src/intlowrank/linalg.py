@@ -13,6 +13,30 @@ def round_half_away(x):
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
+def pairwise_sum(v):
+    """Sum of a list of floats in the order numpy's sum adds an array.
+
+    The result equals float(np.sum(v)) bit for bit: up to 128 terms go
+    into 8 interleaved accumulators (fewer than 8 are added in sequence),
+    and longer lists split in two at a multiple of 8.
+    """
+    n = len(v)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return pairwise_sum(v[:half]) + pairwise_sum(v[half:])
+    total = 0.0
+    if n >= 8:
+        acc, tail = v[:8], n - n % 8
+        for i in range(8, tail, 8):
+            for j in range(8):
+                acc[j] += v[i + j]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        v = v[tail:]
+    for x in v:
+        total += x
+    return total
+
+
 def require_finite(arr, name):
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")

@@ -10,6 +10,8 @@ from conftest import (
 from intlowrank.boxed import (
     BoundTable,
     BoxConstraint,
+    _factor,
+    _reorder,
     boxed_search,
     compute_bound_table,
     in_box_rounding,
@@ -17,9 +19,9 @@ from intlowrank.boxed import (
     solve_ilsb,
     solve_ilsb_many,
 )
-from intlowrank.exceptions import EmptyBoxError
-from intlowrank.ils import ReducedProblem, SearchStats, plll_reduce, se_search
-from intlowrank.linalg import int_det
+from intlowrank.exceptions import EmptyBoxError, RankDeficientError
+from intlowrank.ils import ReducedProblem, SearchStats, _project, plll_reduce, se_search
+from intlowrank.linalg import givens_coeffs, int_det, rotate_rows
 
 
 class TestBoxConstraint:
@@ -362,3 +364,118 @@ class TestFiniteEntries:
         H[2, 1] = 3.0
         with pytest.raises(ValueError):
             solve_ilsb(H, np.array([1.0, np.inf, 0.0]), box)
+
+
+def _array_reorder(factors, y, box):
+    """The array form of boxed._reorder's reordering, kept as its oracle."""
+    Q1, R, S = factors
+    n = R.shape[0]
+    y_hat, offset = _project(Q1, y)
+    y_bar = y_hat.copy()
+    lower, upper, cols = box.lower.copy(), box.upper.copy(), np.arange(n)
+    for kappa in range(n, 1, -1):
+        last = kappa - 1
+        best_gap, best_i, best_fix = -1.0, 0, 0
+        for i in range(kappa):
+            s_col = S[i:kappa, i]
+            center = float(y_bar[i:kappa] @ s_col)
+            nearest, second = in_box_rounding(center, int(lower[i]), int(upper[i]))
+            if second is None:
+                gap = np.inf
+            else:
+                gap = abs(center - second) / float(np.linalg.norm(s_col))
+            if gap > best_gap:
+                best_gap, best_i, best_fix = gap, i, nearest
+        y_bar = y_bar - R[:, best_i] * best_fix
+        if best_i != last:
+            order = np.r_[
+                np.arange(best_i), np.arange(best_i + 1, kappa), best_i, np.arange(kappa, n)
+            ]
+            R, S, cols = R[:, order], S[:, order], cols[order]
+            lower, upper = lower[order], upper[order]
+            for p in range(best_i, last):
+                c, s = givens_coeffs(R[p, p], R[p + 1, p])
+                rotate_rows(R, p, p + 1, c, s)
+                R[p + 1, p] = 0.0
+                rotate_rows(S, p, p + 1, c, s)
+                rotate_rows(y_hat, p, p + 1, c, s)
+                rotate_rows(y_bar, p, p + 1, c, s)
+    Z = np.zeros((n, n), dtype=np.int64)
+    Z[cols, np.arange(n)] = 1
+    return ReducedProblem(R=R, Z=Z, y_hat=y_hat, offset=offset), BoxConstraint(lower, upper)
+
+
+def _array_bound_table(R, y_hat, box):
+    """The array form of compute_bound_table, kept as its oracle."""
+    n = y_hat.shape[0]
+    lower, upper = box.lower.astype(float), box.upper.astype(float)
+    delta = np.zeros(n)
+    for k in range(n):
+        p, q = R[k, k:] * lower[k:], R[k, k:] * upper[k:]
+        lo_end = y_hat[k] - float(np.maximum(p, q).sum())
+        hi_end = y_hat[k] - float(np.minimum(p, q).sum())
+        if (lo_end > 1e-12 and hi_end > 1e-12) or (lo_end < -1e-12 and hi_end < -1e-12):
+            delta[k] = min(lo_end * lo_end, hi_end * hi_end)
+    return BoundTable(delta=delta, gamma=np.concatenate(([0.0], np.cumsum(delta)[:-1])))
+
+
+def _assert_bits_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()  # equal values and signed zeros
+
+
+class TestListPassOracle:
+    """The list pass of _reorder reproduces the array form bit for bit."""
+
+    def _problems(self, count):
+        """Seeded problems with n from 2 to 27; every other one is a row of an exact U V.
+
+        Yields (factors, y, box, exact).
+        """
+        rng = np.random.default_rng(62)
+        made = 0
+        while made < count:
+            n = 2 + made % 26
+            m = n + int(rng.integers(1, 40))
+            exact = made % 2 == 1
+            if exact:
+                U = rng.integers(1, 5, size=(m, n))
+                V = rng.integers(1, 5, size=(n, m))
+                H, y = V.T, (U @ V)[int(rng.integers(m))]
+                box = BoxConstraint.uniform(n, 1, 4)
+            else:
+                H, y = rng.integers(-9, 10, size=(m, n)), rng.integers(-60, 61, size=m)
+                lo = rng.integers(-4, 1, size=n)
+                box = BoxConstraint(lo, lo + rng.integers(0, 6, size=n))  # some singletons
+            try:
+                factors = _factor(H.astype(float))
+            except RankDeficientError:
+                continue
+            made += 1
+            yield factors, y.astype(float), box, exact
+
+    def test_matches_array_form(self):
+        moved = 0
+        for factors, y, box, exact in self._problems(240):
+            rp, pbox, bounds = _reorder(factors, y, box)
+            ref, ref_box = _array_reorder(factors, y, box)
+            ref_bounds = _array_bound_table(ref.R, ref.y_hat, ref_box)
+            for got, want in (
+                (rp.Z, ref.Z), (rp.R, ref.R), (rp.y_hat, ref.y_hat), (rp.offset, ref.offset),
+                (pbox.lower, ref_box.lower), (pbox.upper, ref_box.upper),
+                (bounds.delta, ref_bounds.delta), (bounds.gamma, ref_bounds.gamma),
+            ):
+                _assert_bits_equal(got, want)
+            # The public wrapper runs the same bound-table code.
+            _assert_bits_equal(compute_bound_table(rp.R, rp.y_hat, pbox).gamma, bounds.gamma)
+            # The search's BLAS row products depend on R's memory layout.
+            assert rp.R.flags.f_contiguous == ref.R.flags.f_contiguous
+            assert rp.R.flags.c_contiguous == ref.R.flags.c_contiguous
+            moved += rp.R is not factors[1]
+            if exact or rp.n <= 12:  # wide random boxes make large searches
+                got_stats, want_stats = SearchStats(), SearchStats()
+                z = boxed_search(rp, pbox, bounds, stats=got_stats)
+                assert np.array_equal(z, boxed_search(ref, ref_box, ref_bounds, stats=want_stats))
+                assert got_stats.nodes == want_stats.nodes
+        assert 0 < moved < 240  # both layouts occur

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import RANK2_U, RANK2_V, TRANSACTIONS, exact_residual_sq
 
+import intlowrank
 from intlowrank.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_EMPTY_BOX,
     EXIT_INTERNAL,
     EXIT_OK,
@@ -91,6 +97,16 @@ class TestUnwritableOutput:
         rc = main(["factorize", str(a), "--rank", "2", "--out-prefix", str(tmp_path / "no" / "o")])
         assert rc == EXIT_USAGE
         assert_one_error_line(capsys, f"cannot write {tmp_path / 'no' / 'o'}.U.txt")
+
+    def test_factorize_report_path_is_a_directory(self, tmp_path, capsys):
+        a = tmp_path / "A.txt"
+        save_matrix(a, TRANSACTIONS)
+        (tmp_path / "o.report.json").mkdir()
+        rc = main(["factorize", str(a), "--rank", "2", "--out-prefix", str(tmp_path / "o")])
+        assert rc == EXIT_USAGE
+        assert_one_error_line(capsys, f"cannot write {tmp_path / 'o'}.report.json")
+        # No factor file and no temporary file is left behind.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["A.txt", "o.report.json"]
 
     @pytest.mark.parametrize("command", ["experiment-compare", "experiment-distribution"])
     def test_experiment_out(self, tmp_path, capsys, command):
@@ -378,3 +394,24 @@ class TestDistributionRankValidation:
              "--trials", "1", "--out", str(tmp_path / "x.csv")]
         )
         assert rc == EXIT_USAGE
+
+
+class TestClosedStdout:
+    def test_closed_pipe_exits_without_traceback(self, counterexample_files):
+        # The reading end is closed before the command starts, so its
+        # first write to stdout fails with EPIPE.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(intlowrank.__file__).resolve().parent.parent)
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "intlowrank", "ils", *counterexample_files],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_BROKEN_PIPE
+        assert "Traceback" not in proc.stderr
+        assert "BrokenPipeError" not in proc.stderr

@@ -359,3 +359,19 @@ class TestBCDFactorize:
             result = bcd_factorize(RANDOM_TEST_A, config)
             assert result.status == STATUS_CONVERGED
             assert result.final_residual <= bound
+
+
+class TestGoldenBoxedRun:
+    def test_recorded_history_and_nodes(self):
+        # Recorded before the boxed reordering moved to Python lists. Any
+        # drift there changes these numbers, R's memory layout included:
+        # the search's BLAS row products round strided and contiguous rows
+        # differently from 4 terms on, so the rank is 6, not 3.
+        rng = np.random.default_rng(2015)
+        A = rng.integers(1, 5, size=(30, 6)) @ rng.integers(1, 5, size=(6, 30))
+        config = FactorizationConfig(
+            rank=6, max_sweeps=3, box_u=(1, 4), box_v=(1, 4), init="random", seed=2015
+        )
+        result = bcd_factorize(A, config)
+        assert result.residual_history == [72984, 4232, 3224, 2603, 2267, 2011]
+        assert result.half_sweep_nodes == [404, 660, 348, 440, 366, 394]

@@ -7,6 +7,7 @@ from intlowrank.linalg import (
     householder_qr,
     householder_qr_min_pivot,
     int_det,
+    pairwise_sum,
     rotate_rows,
     round_half_away,
 )
@@ -23,6 +24,22 @@ class TestRounding:
     def test_vectorized(self):
         out = round_half_away([0.5, -0.5, 1.2])
         assert np.array_equal(out, [1.0, -1.0, 1.0])
+
+
+class TestPairwiseSum:
+    def test_matches_numpy_sum_bit_for_bit(self):
+        # Terms of mixed sign and widely spread magnitude make every
+        # summation order round differently.
+        rng = np.random.default_rng(17)
+        for n in range(1, 301):
+            v = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+            assert pairwise_sum(v.tolist()) == float(np.sum(v)), n
+
+    def test_eight_accumulators(self):
+        # In sequence the four ones are lost against 1e17; numpy's eight
+        # accumulators add them up first.
+        v = [1.0, 1.0, 1.0, 1.0, 1e17, -1e17, 0.0, 0.0]
+        assert pairwise_sum(v) == float(np.sum(v)) == 4.0
 
 
 class TestHouseholderQR:
