@@ -134,21 +134,54 @@ def init_most_frequent(A, k):
     Later rows take the remaining values by descending frequency with ties
     toward the smaller value; columns with fewer than k distinct values are
     padded with the top value shifted by the row index, keeping rows
-    distinct.
+    distinct. Raises ValueError when that padding leaves the int64 range.
     """
     A = as_int_matrix(A)
-    n = A.shape[1]
+    m, n = A.shape
+    # One run per distinct (column, value) of the sorted columns.
+    S = np.sort(A.T, axis=1).ravel()
+    starts = np.ones(S.size, dtype=bool)
+    starts[1:] = S[1:] != S[:-1]
+    starts[::m] = True
+    starts = np.flatnonzero(starts)
+    counts = np.diff(starts, append=S.size)
+    cols = starts // m
+    # Runs grouped by column, each group by descending frequency, then value.
+    order = np.lexsort((S[starts], -counts, cols))
+    vals, counts, cols = S[starts][order], counts[order], cols[order]
+    runs = np.bincount(cols, minlength=n)
+    col_start = np.cumsum(runs) - runs
+    # Row 0: of the top-frequency runs, the one closest to the mean, then
+    # the first in value order. A.mean(axis=0) equals each col.mean() only
+    # while the column sums are exact in float64.
+    if m * _max_abs(A) <= 2**53:
+        mean = A.mean(axis=0)
+    else:
+        mean = np.array([A[:, j].mean() for j in range(n)])
+    dist = np.abs(vals.astype(np.float64) - mean[cols])
+    top = counts == counts[col_start][cols]
+    nearest = np.full(n, np.inf)
+    np.minimum.at(nearest, cols[top], dist[top])
+    tied = np.flatnonzero(top & (dist == nearest[cols]))
+    first_at = tied[np.unique(cols[tied], return_index=True)[1]]
+    first = vals[first_at]
+    # Row r takes the run at position r of its column, with the row-0 run
+    # moved to the front past the runs before it.
+    pos = np.arange(vals.size) - col_start[cols]
+    rank = pos + (pos < (first_at - col_start)[cols])
+    rank[first_at] = 0
+    pad = runs < k
+    overflow = np.flatnonzero(pad & (first > np.iinfo(np.int64).max - (k - 1)))
+    if overflow.size:
+        j = int(overflow[0])
+        raise ValueError(
+            f"most-frequent init: column {j} has fewer distinct values ({runs[j]}) than the "
+            f"rank ({k}), and padding its value {first[j]} by the row index leaves int64"
+        )
     V0 = np.zeros((k, n), dtype=np.int64)
-    for j in range(n):
-        col = A[:, j]
-        vals, counts = np.unique(col, return_counts=True)
-        freq = {int(v): int(c) for v, c in zip(vals, counts)}
-        mean = float(col.mean())
-        first = min(freq, key=lambda v: (-freq[v], abs(v - mean), v))
-        rest = sorted((v for v in freq if v != first), key=lambda v: (-freq[v], v))
-        ranked = [first, *rest]
-        for r in range(k):
-            V0[r, j] = ranked[r] if r < len(ranked) else first + r
+    V0[:, pad] = first[pad] + np.arange(k, dtype=np.int64)[:, None]
+    keep = rank < k
+    V0[rank[keep], cols[keep]] = vals[keep]
     return V0
 
 

@@ -5,6 +5,8 @@ Integer grids load as int64, anything else as float64. Emitted text
 round-trips exactly through the parser.
 """
 
+import warnings
+
 import numpy as np
 
 from .exceptions import MatrixParseError
@@ -12,10 +14,32 @@ from .exceptions import MatrixParseError
 _I64 = np.iinfo(np.int64)
 
 
+def _parse_int64(text):
+    """The int64 grid np.loadtxt reads from text's lines, or None.
+
+    loadtxt gets the lines of str.splitlines, as the general parser does,
+    and within an ASCII line both split tokens at the same whitespace and
+    cut comments at '#'. Text that is not ASCII, has commas (separators
+    here, not to loadtxt), or makes loadtxt raise or warn gets None.
+    """
+    if not text.isascii() or "," in text:
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(text.splitlines(), dtype=np.int64, comments="#", ndmin=2)
+        except (ValueError, Warning):
+            return None
+
+
 def parse_matrix(text):
+    text = str(text)
+    M = _parse_int64(text)
+    if M is not None:
+        return M
     rows = []
     width = None
-    for lineno, raw in enumerate(str(text).splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -89,6 +89,13 @@ class TestOutOfRangeEntry:
         assert main([command, str(tmp_path / "A.txt"), *args]) == EXIT_USAGE
         assert_one_error_line(capsys, "line 1: integer entry outside the int64 range")
 
+    def test_init_padding_past_int64_exit_code(self, tmp_path, capsys):
+        top = np.iinfo(np.int64).max
+        save_matrix(tmp_path / "big.txt", np.array([[top, 1, 2], [top, 3, 4], [top, 5, 7]]))
+        assert main(["factorize", str(tmp_path / "big.txt"), "--rank", "2"]) == EXIT_USAGE
+        assert_one_error_line(capsys, "column 0 has fewer distinct values (1) than the rank (2)")
+        assert [p.name for p in tmp_path.iterdir()] == ["big.txt"]
+
 
 class TestUnwritableOutput:
     def test_factorize_out_prefix(self, tmp_path, capsys):

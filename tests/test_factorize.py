@@ -21,6 +21,7 @@ from intlowrank.boxed import BoxConstraint, solve_ilsb
 from intlowrank.exceptions import NotOrthonormalError, RankDeficientError
 from intlowrank.factorize import (
     STATUS_CONVERGED,
+    STATUS_MAX_SWEEPS,
     STATUS_RANK_DEFICIENT,
     FactorizationConfig,
     as_int_matrix,
@@ -203,6 +204,59 @@ class TestInitMostFrequent:
         assert np.array_equal(V0[:, 0], [5, 6])
         assert np.array_equal(V0[:, 1], [2, 1])
 
+    def test_padding_past_int64_names_the_column(self):
+        top = np.iinfo(np.int64).max
+        A = np.array([[1, top, 2], [2, top, 2], [3, top, 2]])
+        with pytest.raises(ValueError, match=r"column 1 has fewer distinct values \(1\) than the rank \(2\)"):
+            init_most_frequent(A, 2)
+        # One row of padding fits exactly; the value is never wrapped.
+        assert init_most_frequent(A - np.array([0, 1, 0]), 2)[1, 1] == top
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_matches_column_loop_reference(self, case):
+        rng = np.random.default_rng(case)
+        for _ in range(60):
+            m, n = (int(v) for v in rng.integers(1, 9, size=2))
+            if case == 0:
+                # Frequency ties and fewer distinct values than rows.
+                A = rng.integers(-2, 3, size=(m, n))
+            elif case == 1:
+                # Top values on both sides of, or equidistant from, the mean.
+                A = rng.choice([-3, -1, 0, 1, 3], size=(2 * m, n)) + rng.integers(-1, 2, size=(1, n))
+            elif case == 2:
+                A = rng.integers(-4, 5, size=(1, n))
+            elif case == 3:
+                A = rng.integers(-2, 3, size=(m, 1))
+            elif case == 4:
+                # Beyond 2**53, distinct values can share a float.
+                A = rng.integers(-3, 4, size=(m, n)) * 2**60 + rng.integers(-2, 3, size=(m, n))
+            else:
+                # The rounded mean decides between equally frequent values
+                # B - 2**40 and B + 2**40; summing a column's rows in another
+                # order (as A.mean(axis=0) does from 9 rows on) can flip it.
+                base = rng.integers(2**61, 2**62, size=n) * rng.choice([-1, 1], size=n)
+                A = base + 2**40 * rng.choice([-1, 1], size=(2 * m + 8, n))
+            for k in (1, 3, 9):
+                assert np.array_equal(init_most_frequent(A, k), _init_most_frequent_reference(A, k))
+
+
+def _init_most_frequent_reference(A, k):
+    """init_most_frequent as a loop over columns, the form it had before vectorizing."""
+    A = as_int_matrix(A)
+    n = A.shape[1]
+    V0 = np.zeros((k, n), dtype=np.int64)
+    for j in range(n):
+        col = A[:, j]
+        vals, counts = np.unique(col, return_counts=True)
+        freq = {int(v): int(c) for v, c in zip(vals, counts)}
+        mean = float(col.mean())
+        first = min(freq, key=lambda v: (-freq[v], abs(v - mean), v))
+        rest = sorted((v for v in freq if v != first), key=lambda v: (-freq[v], v))
+        ranked = [first, *rest]
+        for r in range(k):
+            V0[r, j] = ranked[r] if r < len(ranked) else first + r
+    return V0
+
 
 class TestInitRandom:
     def test_deterministic(self):
@@ -375,3 +429,17 @@ class TestGoldenBoxedRun:
         result = bcd_factorize(A, config)
         assert result.residual_history == [72984, 4232, 3224, 2603, 2267, 2011]
         assert result.half_sweep_nodes == [404, 660, 348, 440, 366, 394]
+
+
+class TestGoldenUnboxedRun:
+    def test_recorded_history_and_nodes(self):
+        # Recorded before init_most_frequent was vectorized: the unboxed
+        # path from the default most-frequent init, pinned.
+        rng = np.random.default_rng(2016)
+        A = rng.integers(1, 5, size=(60, 3)) @ rng.integers(1, 5, size=(3, 60))
+        config = FactorizationConfig(rank=3, max_sweeps=3, init="most_frequent")
+        result = bcd_factorize(A, config)
+        assert result.residual_history == [101703, 33724, 8730, 5873, 4841, 4651]
+        assert result.half_sweep_nodes == [300, 300, 330, 338, 346, 330]
+        assert result.status == STATUS_MAX_SWEEPS
+        assert result.sweeps == 3
