@@ -22,6 +22,15 @@ from .linalg import givens_coeffs, householder_qr, pairwise_sum, require_finite
 _SIGN_TOL = 1e-12
 
 
+def _int64_bounds(values, side):
+    """values as an int64 vector; a ValueError names a bound int64 cannot hold."""
+    try:
+        return np.atleast_1d(np.asarray(values, dtype=np.int64))
+    except OverflowError:
+        big = next(v for v in np.ravel(np.array(values, dtype=object)) if not -(2**63) <= v < 2**63)
+        raise ValueError(f"box {side} bound {big} is outside the int64 range") from None
+
+
 @dataclass(frozen=True)
 class BoxConstraint:
     """Per-coordinate integer intervals lower_i <= x_i <= upper_i."""
@@ -30,8 +39,8 @@ class BoxConstraint:
     upper: np.ndarray
 
     def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=np.int64))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=np.int64))
+        lower = _int64_bounds(self.lower, "lower")
+        upper = _int64_bounds(self.upper, "upper")
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("bounds must be integer vectors of equal length")
         if (lower > upper).any():
@@ -42,7 +51,7 @@ class BoxConstraint:
     @classmethod
     def uniform(cls, n, lo, hi):
         """The same interval [lo, hi] on all n coordinates."""
-        return cls(np.full(n, lo, dtype=np.int64), np.full(n, hi, dtype=np.int64))
+        return cls([lo] * n, [hi] * n)
 
     @property
     def n(self):

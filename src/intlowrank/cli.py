@@ -3,12 +3,12 @@
 Subcommands: `ils` (one integer least squares solve), `factorize`
 (low-rank factorization of a matrix file, emitting factor files plus a
 JSON run report), and the two experiment harnesses that write CSV.
-Exit codes: 0 success, 2 parse/parameter error or an output file that
-cannot be written, 3 rank-deficient input, 4 empty box, 5 internal
-consistency failure (the reported final residual does not match the
-emitted factors), 141 standard output closed before everything was
-written (128 + SIGPIPE, as a shell reports a process that a closed pipe
-ends).
+Exit codes: 0 success, 2 invalid input (a parse or parameter error, an
+output file that cannot be written: any ValueError but the next two),
+3 rank-deficient input, 4 empty box, 5 internal consistency failure
+(the reported final residual does not match the emitted factors), 141
+standard output closed before everything was written (128 + SIGPIPE,
+as a shell reports a process that a closed pipe ends).
 """
 
 import argparse
@@ -54,17 +54,13 @@ CSV_SCHEMA_VERSION = 1
 FAIL_TOKEN = "FAIL"
 
 
-class ParameterError(ValueError):
-    """Invalid command parameters (exit code 2)."""
-
-
 @contextlib.contextmanager
 def _writing(path):
-    """Report an OSError raised while writing path as a parameter error."""
+    """Report an OSError raised while writing path as a ValueError naming it."""
     try:
         yield
     except OSError as exc:
-        raise ParameterError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _write_all(outputs):
@@ -74,7 +70,7 @@ def _write_all(outputs):
     temporaries replace their paths only once all are written, and if a
     replacement fails the outputs already moved into place are removed,
     so a failed command leaves no partial output behind. Raises
-    ParameterError naming the path that could not be written.
+    ValueError naming the path that could not be written.
     """
     staged, placed = [], []
     try:
@@ -166,12 +162,7 @@ def cmd_factorize(args):
         seed=args.seed,
     )
     started = time.perf_counter()
-    try:
-        result = bcd_factorize(A, config)
-    except (EmptyBoxError, RankDeficientError, MatrixParseError):
-        raise
-    except ValueError as exc:
-        raise ParameterError(str(exc)) from None
+    result = bcd_factorize(A, config)
     wall = time.perf_counter() - started
 
     final = result.final_residual
@@ -223,13 +214,13 @@ def cmd_factorize(args):
 
 def _check_experiment_params(n, rank, lo, hi, trials):
     if n is not None and n < 2:
-        raise ParameterError("--n must be at least 2")
+        raise ValueError("--n must be at least 2")
     if rank < 1 or (n is not None and rank >= n):
-        raise ParameterError("--rank must satisfy 1 <= rank < n")
+        raise ValueError("--rank must satisfy 1 <= rank < n")
     if lo > hi:
-        raise ParameterError(f"--box interval [{lo}, {hi}] is empty")
+        raise ValueError(f"--box interval [{lo}, {hi}] is empty")
     if trials < 1:
-        raise ParameterError("--trials must be positive")
+        raise ValueError("--trials must be positive")
 
 
 def _write_csv(path, comment_lines, header, outcomes, footer_lines):
@@ -252,7 +243,7 @@ def cmd_experiment_distribution(args):
         n = int(min(a_matrix.shape))
     else:
         if args.n is None:
-            raise ParameterError("--n is required unless --a-file is given")
+            raise ValueError("--n is required unless --a-file is given")
         n = args.n
     _check_experiment_params(n, args.rank, lo, hi, args.trials)
 
@@ -390,15 +381,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MatrixParseError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except RankDeficientError as exc:
         print(f"error: rank deficient input: {exc}", file=sys.stderr)
         return EXIT_RANK_DEFICIENT
     except EmptyBoxError as exc:
         print(f"error: empty box: {exc}", file=sys.stderr)
         return EXIT_EMPTY_BOX
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def run():

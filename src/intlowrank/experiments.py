@@ -15,6 +15,9 @@ from .factorize import (
     init_random,
 )
 
+MODAL_BANDS = 10
+
+
 def trial_seed(master_seed, index):
     """Derived seed for one trial: master * 1000003 + index."""
     return master_seed * 1_000_003 + index
@@ -117,11 +120,11 @@ def summarize_residuals(values):
     }
 
 
-def modal_band(values, bins=10):
+def modal_band(values):
     """Most populated residual band among the non-failed trials.
 
-    Splits [min, max] into equal bins and returns ((lo, hi), count) for the
-    densest one, or None when every trial failed.
+    Splits [min, max] into MODAL_BANDS equal bins and returns
+    ((lo, hi), count) for the densest one, or None when every trial failed.
     """
     ok = sorted(v for v in values if v is not None)
     if not ok:
@@ -129,7 +132,7 @@ def modal_band(values, bins=10):
     lo, hi = ok[0], ok[-1]
     if lo == hi:
         return (float(lo), float(hi)), len(ok)
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, MODAL_BANDS + 1)
     counts, _ = np.histogram(ok, bins=edges)
     b = int(np.argmax(counts))
     return (float(edges[b]), float(edges[b + 1])), int(counts[b])

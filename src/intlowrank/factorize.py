@@ -152,12 +152,11 @@ def init_most_frequent(A, k):
     runs = np.bincount(cols, minlength=n)
     col_start = np.cumsum(runs) - runs
     # Row 0: of the top-frequency runs, the one closest to the mean, then
-    # the first in value order. A.mean(axis=0) equals each col.mean() only
-    # while the column sums are exact in float64.
-    if m * _max_abs(A) <= 2**53:
-        mean = A.mean(axis=0)
-    else:
-        mean = np.array([A[:, j].mean() for j in range(n)])
+    # the first in value order. The means must equal each A[:, j].mean().
+    # The rows of a contiguous A.T sum in the same order (measured, not
+    # proven: the tests pin it), where A.mean(axis=0) adds a C-ordered A
+    # row by row and rounds differently once the sums do.
+    mean = np.ascontiguousarray(A.T).mean(axis=1)
     dist = np.abs(vals.astype(np.float64) - mean[cols])
     top = counts == counts[col_start][cols]
     nearest = np.full(n, np.inf)

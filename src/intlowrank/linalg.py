@@ -42,8 +42,8 @@ def require_finite(arr, name):
         raise ValueError(f"{name} contains non-finite entries")
 
 
-def _check_diagonal(R, scale, tol):
-    bound = tol * scale
+def _check_diagonal(R, scale):
+    bound = RANK_TOL * scale
     diag = np.abs(np.diag(R))
     if (diag <= bound).any():
         raise RankDeficientError(
@@ -52,11 +52,11 @@ def _check_diagonal(R, scale, tol):
         )
 
 
-def householder_qr(H, tol=RANK_TOL):
+def householder_qr(H):
     """Thin QR factorization H = Q1 @ R of a full-column-rank matrix.
 
     Q1 is m-by-n with orthonormal columns and R is n-by-n upper triangular.
-    Raises RankDeficientError when some |r_ii| <= tol * ||H||_F.
+    Raises RankDeficientError when some |r_ii| <= RANK_TOL * ||H||_F.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     require_finite(H, "H")
@@ -64,7 +64,7 @@ def householder_qr(H, tol=RANK_TOL):
     if m < n:
         raise RankDeficientError(f"{m}x{n} matrix cannot have full column rank")
     Q1, R = np.linalg.qr(H, mode="reduced")
-    _check_diagonal(R, np.linalg.norm(H), tol)
+    _check_diagonal(R, np.linalg.norm(H))
     return Q1, R
 
 
@@ -84,7 +84,7 @@ def _householder_vector(x):
     return v, beta
 
 
-def householder_qr_min_pivot(H, tol=RANK_TOL):
+def householder_qr_min_pivot(H):
     """Thin QR with ascending-norm column pivoting: H[:, perm] = Q1 @ R.
 
     At step i the remaining column whose orthogonal-complement norm is
@@ -114,7 +114,7 @@ def householder_qr_min_pivot(H, tol=RANK_TOL):
     for i, v, beta in reversed(reflectors):
         if beta != 0.0:
             Q1[i:, :] -= beta * np.outer(v, v @ Q1[i:, :])
-    _check_diagonal(R, np.linalg.norm(H), tol)
+    _check_diagonal(R, np.linalg.norm(H))
     return Q1, R, perm
 
 

@@ -70,7 +70,7 @@ def load_matrix(path):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MatrixParseError(f"cannot read {path}: {exc}") from None
     return parse_matrix(text)
 
@@ -84,11 +84,8 @@ def format_matrix(M):
     return "\n".join(lines) + "\n"
 
 
-def save_matrix(path, M, comment=None):
+def save_matrix(path, M):
     with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            for line in str(comment).splitlines():
-                fh.write(f"# {line}\n")
         fh.write(format_matrix(M))
 
 

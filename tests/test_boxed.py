@@ -40,6 +40,18 @@ class TestBoxConstraint:
         assert box.contains([1, 2])
         assert not box.contains([1, 1])
 
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("lo, hi, bound", [(0, 2**70, f"upper bound {2**70}"),
+                                               (-(2**70), 0, f"lower bound {-(2**70)}")])
+    def test_bound_outside_int64_rejected(self, uniform, lo, hi, bound):
+        message = f"box {bound} is outside the int64 range"
+        with pytest.raises(ValueError, match=message) as info:
+            if uniform:
+                BoxConstraint.uniform(2, lo, hi)
+            else:
+                BoxConstraint([-1, lo], [1, hi])
+        assert not isinstance(info.value, EmptyBoxError)
+
 
 class TestInBoxRounding:
     @pytest.mark.parametrize(

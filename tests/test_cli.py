@@ -20,6 +20,8 @@ from intlowrank.cli import (
 )
 from intlowrank.matrixio import load_matrix, save_matrix
 
+BEYOND_INT64 = "99999999999999999999"
+
 
 @pytest.fixture
 def counterexample_files(tmp_path):
@@ -89,12 +91,49 @@ class TestOutOfRangeEntry:
         assert main([command, str(tmp_path / "A.txt"), *args]) == EXIT_USAGE
         assert_one_error_line(capsys, "line 1: integer entry outside the int64 range")
 
+    @pytest.mark.parametrize("option", ["--box", "--box-u", "--box-v"])
+    @pytest.mark.parametrize("lo, hi", [("0", BEYOND_INT64), (f"-{BEYOND_INT64}", "0")])
+    def test_box_bound_beyond_int64_exit_code(self, counterexample_files, capsys, option, lo, hi):
+        h_file, y_file = counterexample_files
+        args = ["ils", h_file, y_file] if option == "--box" else ["factorize", h_file, "--rank", "1"]
+        assert main([*args, option, lo, hi]) == EXIT_USAGE
+        bound = f"upper bound {hi}" if lo == "0" else f"lower bound {lo}"
+        assert_one_error_line(capsys, f"box {bound} is outside the int64 range")
+
     def test_init_padding_past_int64_exit_code(self, tmp_path, capsys):
         top = np.iinfo(np.int64).max
         save_matrix(tmp_path / "big.txt", np.array([[top, 1, 2], [top, 3, 4], [top, 5, 7]]))
         assert main(["factorize", str(tmp_path / "big.txt"), "--rank", "2"]) == EXIT_USAGE
         assert_one_error_line(capsys, "column 0 has fewer distinct values (1) than the rank (2)")
         assert [p.name for p in tmp_path.iterdir()] == ["big.txt"]
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("command", ["ils", "factorize"])
+    def test_file_not_utf8_exit_code(self, tmp_path, capsys, command):
+        a = tmp_path / "A.txt"
+        a.write_bytes(b"1 2\n\xff 4\n")
+        (tmp_path / "y.txt").write_text("1\n2\n")
+        args = [str(tmp_path / "y.txt")] if command == "ils" else ["--rank", "1"]
+        assert main([command, str(a), *args]) == EXIT_USAGE
+        assert_one_error_line(capsys, f"cannot read {a}: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("command", ["experiment-distribution", "experiment-compare"])
+    def test_negative_experiment_seed_exit_code(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        rc = main([command, "--n", "4", "--rank", "1", "--trials", "1", "--seed", "-1",
+                   "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert_one_error_line(capsys, "non-negative")
+        assert not out.exists()
+
+    def test_experiment_box_beyond_int64_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(["experiment-distribution", "--n", "4", "--rank", "1", "--trials", "1",
+                   "--box", "0", BEYOND_INT64, "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert_one_error_line(capsys, "out of bounds for int64")
+        assert not out.exists()
 
 
 class TestUnwritableOutput:

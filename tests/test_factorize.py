@@ -212,7 +212,7 @@ class TestInitMostFrequent:
         # One row of padding fits exactly; the value is never wrapped.
         assert init_most_frequent(A - np.array([0, 1, 0]), 2)[1, 1] == top
 
-    @pytest.mark.parametrize("case", range(6))
+    @pytest.mark.parametrize("case", range(7))
     def test_matches_column_loop_reference(self, case):
         rng = np.random.default_rng(case)
         for _ in range(60):
@@ -230,12 +230,20 @@ class TestInitMostFrequent:
             elif case == 4:
                 # Beyond 2**53, distinct values can share a float.
                 A = rng.integers(-3, 4, size=(m, n)) * 2**60 + rng.integers(-2, 3, size=(m, n))
-            else:
+            elif case == 5:
                 # The rounded mean decides between equally frequent values
                 # B - 2**40 and B + 2**40; summing a column's rows in another
                 # order (as A.mean(axis=0) does from 9 rows on) can flip it.
                 base = rng.integers(2**61, 2**62, size=n) * rng.choice([-1, 1], size=n)
                 A = base + 2**40 * rng.choice([-1, 1], size=(2 * m + 8, n))
+            else:
+                # As case 5 with more than 8,192 rows, which numpy sums in
+                # buffered chunks, and exactly as many B - 2**40 as B + 2**40
+                # entries per column, so that the rounded mean decides.
+                rows = 2 * int(rng.integers(4097, 4200))
+                base = rng.integers(2**61, 2**62, size=n) * rng.choice([-1, 1], size=n)
+                upper = np.argsort(rng.random((rows, n)), axis=0) < rows // 2
+                A = base + 2**40 * np.where(upper, 1, -1)
             for k in (1, 3, 9):
                 assert np.array_equal(init_most_frequent(A, k), _init_most_frequent_reference(A, k))
 

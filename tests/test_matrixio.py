@@ -156,7 +156,7 @@ class TestRoundTrip:
     def test_file_round_trip(self, tmp_path):
         M = np.array([[1, -2], [3, 4]])
         path = tmp_path / "m.txt"
-        save_matrix(path, M, comment="demo matrix")
+        save_matrix(path, M)
         assert np.array_equal(load_matrix(path), M)
 
     def test_missing_file(self, tmp_path):

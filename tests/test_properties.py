@@ -1,4 +1,4 @@
-"""Property tests of the boxed solver against brute force.
+"""Property tests of the solvers and the block update against brute force.
 
 Hypothesis draws small integer problems: n from 1 to 4 coordinates, box
 widths from 0 (a singleton coordinate) to 3, and integer H of full column
@@ -6,7 +6,7 @@ rank. The settings are derandomized, so every run tests the same examples.
 """
 
 import numpy as np
-from conftest import brute_box_min, exact_residual_sq
+from conftest import brute_box_min, brute_ils_min, exact_residual_sq
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +17,8 @@ from intlowrank.boxed import (
     mch_reduce,
     solve_ilsb,
 )
+from intlowrank.factorize import update_u
+from intlowrank.ils import solve_ils
 from intlowrank.linalg import int_det
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -28,17 +30,61 @@ def _matrix(draw, rows, cols, lo, hi):
     return np.array(entries, dtype=np.int64).reshape(rows, cols)
 
 
+def _full_rank(draw, rows, cols, lo, hi):
+    H = _matrix(draw, rows, cols, lo, hi)
+    assume(int_det(H.T @ H) != 0)  # exact test of full column rank
+    return H
+
+
+def _box(draw, n):
+    lower = _matrix(draw, 1, n, -3, 3).ravel()
+    widths = _matrix(draw, 1, n, 0, 3).ravel()
+    return BoxConstraint(lower, lower + widths)
+
+
+@st.composite
+def ils_problems(draw):
+    """(H, y) with integer H of full column rank."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(n, n + 2))
+    return _full_rank(draw, m, n, -6, 6), _matrix(draw, m, 1, -30, 30).ravel()
+
+
 @st.composite
 def boxed_problems(draw):
     """(H, y, box) with integer H of full column rank."""
-    n = draw(st.integers(1, 4))
-    m = draw(st.integers(n, n + 2))
-    H = _matrix(draw, m, n, -6, 6)
-    assume(int_det(H.T @ H) != 0)  # exact test of full column rank
-    y = _matrix(draw, m, 1, -30, 30).ravel()
-    lower = _matrix(draw, 1, n, -3, 3).ravel()
-    widths = _matrix(draw, 1, n, 0, 3).ravel()
-    return H, y, BoxConstraint(lower, lower + widths)
+    H, y = draw(ils_problems())
+    return H, y, _box(draw, H.shape[1])
+
+
+@st.composite
+def update_problems(draw):
+    """(A, V, box) with V of full row rank k <= 3, one box for every row of U."""
+    k = draw(st.integers(1, 3))
+    V = _full_rank(draw, draw(st.integers(k, k + 2)), k, -4, 4).T
+    A = _matrix(draw, draw(st.integers(1, 3)), V.shape[1], -12, 12)
+    return A, V, _box(draw, k)
+
+
+@DETERMINISTIC
+@given(ils_problems())
+def test_solve_ils_reaches_the_brute_force_optimum(problem):
+    H, y = problem
+    optimum = brute_ils_min(H, y)
+    assume(optimum is not None)
+    x, resid_sq = solve_ils(H.astype(float), y.astype(float))
+    assert exact_residual_sq(H, y, x) == optimum
+    assert abs(resid_sq - optimum) <= 1e-9 * max(1.0, optimum)
+
+
+@DETERMINISTIC
+@given(update_problems())
+def test_update_u_rows_reach_the_brute_force_optimum(problem):
+    A, V, box = problem
+    U = update_u(A, V, box)
+    for a, u in zip(A, U):
+        assert box.contains(u)
+        assert exact_residual_sq(V.T, a, u) == brute_box_min(V.T, a, box.lower, box.upper)
 
 
 @DETERMINISTIC
