@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import EmptyBoxError
 from .ils import ReducedProblem, _enumerate, _project
-from .linalg import givens_coeffs, householder_qr, pairwise_sum, require_finite
+from .linalg import givens_coeffs, householder_qr, pairwise_sum, require_finite, round_half_away_int
 
 _SIGN_TOL = 1e-12
 
@@ -86,14 +86,13 @@ class BoundTable:
 def in_box_rounding(c, lo, hi):
     """Nearest and second-nearest integers to c inside [lo, hi].
 
-    The nearest point is the clamped rounding of c; the second is the next
-    closest in-box integer, or None for a singleton interval. Exact ties
-    prefer the upper neighbour.
+    The nearest point is the clamped rounding of c (round_half_away_int);
+    the second is the next closest in-box integer, or None for a singleton
+    interval. Exact ties prefer the upper neighbour.
     """
     if lo > hi:
         raise EmptyBoxError(f"empty interval [{lo}, {hi}]")
-    # The clamped rounding, half away from zero as in linalg.round_half_away.
-    nearest = min(max(math.floor(c + 0.5) if c >= 0 else -math.floor(0.5 - c), lo), hi)
+    nearest = min(max(round_half_away_int(c), lo), hi)
     if lo == hi:
         return nearest, None
     below, above = nearest - 1, nearest + 1

@@ -212,15 +212,19 @@ def cmd_factorize(args):
     return EXIT_OK
 
 
-def _check_experiment_params(n, rank, lo, hi, trials):
+def _check_experiment_params(n, rank, lo, hi, trials, seed):
     if n is not None and n < 2:
         raise ValueError("--n must be at least 2")
     if rank < 1 or (n is not None and rank >= n):
         raise ValueError("--rank must satisfy 1 <= rank < n")
     if lo > hi:
         raise ValueError(f"--box interval [{lo}, {hi}] is empty")
+    if lo < -(2**63) or hi >= 2**63:
+        raise ValueError(f"--box interval [{lo}, {hi}] leaves the int64 range")
     if trials < 1:
         raise ValueError("--trials must be positive")
+    if seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {seed}")
 
 
 def _write_csv(path, comment_lines, header, outcomes, footer_lines):
@@ -245,7 +249,7 @@ def cmd_experiment_distribution(args):
         if args.n is None:
             raise ValueError("--n is required unless --a-file is given")
         n = args.n
-    _check_experiment_params(n, args.rank, lo, hi, args.trials)
+    _check_experiment_params(n, args.rank, lo, hi, args.trials, args.seed)
 
     started = time.perf_counter()
     A, outcomes = distribution_experiment(
@@ -280,7 +284,7 @@ def cmd_experiment_distribution(args):
 def cmd_experiment_compare(args):
     lo, hi = args.box
     rank = args.rank if args.rank is not None else max(args.n // 5, 1)
-    _check_experiment_params(args.n, rank, lo, hi, args.trials)
+    _check_experiment_params(args.n, rank, lo, hi, args.trials, args.seed)
 
     started = time.perf_counter()
     outcomes = compare_experiment(args.n, rank, lo, hi, args.trials, args.seed)

@@ -8,12 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factorize import (
-    STATUS_RANK_DEFICIENT,
-    FactorizationConfig,
-    bcd_factorize,
-    init_random,
-)
+from .factorize import STATUS_RANK_DEFICIENT, FactorizationConfig, bcd_factorize
 
 MODAL_BANDS = 10
 
@@ -24,7 +19,9 @@ def trial_seed(master_seed, index):
 
 
 def random_product_matrix(n_rows, n_cols, rank, lo, hi, seed):
-    """A = U V with both factors drawn uniformly from [lo, hi]."""
+    """A = U V with both factors drawn uniformly from [lo, hi]; a ValueError if int64 could wrap."""
+    if rank * max(abs(int(lo)), abs(int(hi))) ** 2 > 2**63 - 1:
+        raise ValueError(f"a rank-{rank} product of entries in [{lo}, {hi}] can leave int64")
     rng = np.random.default_rng(seed)
     U = rng.integers(lo, hi + 1, size=(n_rows, rank), dtype=np.int64)
     V = rng.integers(lo, hi + 1, size=(rank, n_cols), dtype=np.int64)
@@ -46,18 +43,17 @@ def distribution_experiment(rank, lo, hi, trials, seed, a_matrix=None, n=None):
     One fixed data matrix (given, or generated as a random rank-`rank`
     product when absent) is factorized `trials` times from random initial
     factors with entries in [lo, hi]; returns (A, list of TrialOutcome).
+    A trial is init "random" with its seed, as factorize --init random runs it.
     """
     if a_matrix is None:
         if n is None:
             raise ValueError("either a_matrix or n is required")
         a_matrix = random_product_matrix(n, n, rank, lo, hi, trial_seed(seed, 0))
     A = np.asarray(a_matrix)
-    n_cols = A.shape[1]
 
     def one(t):
         s = trial_seed(seed, t)
-        V0 = init_random(rank, n_cols, lo, hi, s)
-        config = FactorizationConfig(rank=rank, box_u=(lo, hi), box_v=(lo, hi), init=V0)
+        config = FactorizationConfig(rank, box_u=(lo, hi), box_v=(lo, hi), init="random", seed=s)
         result = bcd_factorize(A, config)
         failed = result.status == STATUS_RANK_DEFICIENT
         final = None if failed else result.final_residual
@@ -82,19 +78,18 @@ class CompareOutcome:
 def compare_experiment(n, rank, lo, hi, trials, seed):
     """Exact block solves versus the rounded real-least-squares baseline.
 
-    Each trial draws a fresh A = U V and a fresh random initial factor,
-    then runs both methods from that same initialization.
+    Each trial draws a fresh A = U V, then runs both methods from the
+    same random initial factor (init "random" with the trial's v0 seed).
     """
 
     def one(t):
         a_seed = trial_seed(seed, 2 * t)
         v0_seed = trial_seed(seed, 2 * t + 1)
         A = random_product_matrix(n, n, rank, lo, hi, a_seed)
-        V0 = init_random(rank, n, lo, hi, v0_seed)
         outcomes = {}
         for method in ("ils", "rounded_ls"):
             config = FactorizationConfig(
-                rank=rank, box_u=(lo, hi), box_v=(lo, hi), init=V0, method=method
+                rank, box_u=(lo, hi), box_v=(lo, hi), init="random", seed=v0_seed, method=method
             )
             result = bcd_factorize(A, config)
             # A run that degenerates to a rank-deficient iterate still

@@ -17,7 +17,8 @@ import numpy as np
 
 # The half-sweeps call only the *_many solvers. solve_ils and solve_ilsb
 # stay importable from this module because perfbench/tracing.py and
-# perfbench/selftest.py look them up here.
+# perfbench/selftest.py look them up here (tests/test_package_source.py
+# checks every name the tracer wraps).
 from .boxed import BoxConstraint, solve_ilsb, solve_ilsb_many  # noqa: F401
 from .exceptions import NotOrthonormalError, RankDeficientError
 from .ils import SearchStats, solve_ils, solve_ils_many  # noqa: F401

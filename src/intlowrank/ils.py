@@ -5,24 +5,24 @@ min ||y - H x||^2 as an upper-triangular problem min ||y_hat - R z||^2
 with x = Z z for a unimodular Z, followed by a depth-first zigzag
 enumeration that shrinks its squared-radius bound every time a better
 point is found and therefore terminates at a global minimizer. The
+reduction is partial LLL (plll_reduce); lll_reduce is the same reduction
+followed by a full size-reduction pass, which makes it LLL-reduced. The
 reduction depends on H alone, so problems that share H share one
 reduction and differ only in y_hat. The enumeration (_enumerate) serves
 both solvers: se_search runs it on an unbounded box, and the boxed
 solver's boxed_search on its box with a bound table.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import (
     givens_coeffs,
-    householder_qr,
     householder_qr_min_pivot,
     require_finite,
     rotate_rows,
-    round_half_away,
+    round_half_away_int,
 )
 
 _LOOP_GUARD = 200_000
@@ -94,56 +94,11 @@ def integer_gauss_transform(R, Z, i, j):
     |r_ij| <= |r_ii| / 2 afterwards. The same elementary column operation
     lands on Z, which keeps |det Z| = 1. Operates in place.
     """
-    zeta = int(round_half_away(R[i, j] / R[i, i]))
+    zeta = round_half_away_int(R[i, j] / R[i, i])
     if zeta != 0:
         R[: i + 1, j] -= zeta * R[: i + 1, i]
         Z[:, j] -= zeta * Z[:, i]
     return R, Z
-
-
-def _swap_and_retriangularize(R, Z, y_hat, k):
-    """Swap columns k-1, k and restore triangularity with one rotation."""
-    R[:, [k - 1, k]] = R[:, [k, k - 1]]
-    Z[:, [k - 1, k]] = Z[:, [k, k - 1]]
-    c, s = givens_coeffs(R[k - 1, k - 1], R[k, k - 1])
-    rotate_rows(R, k - 1, k, c, s)
-    R[k, k - 1] = 0.0
-    rotate_rows(y_hat, k - 1, k, c, s)
-
-
-def lll_reduce(H, y, delta=1.0):
-    """Full lattice reduction of min ||y - H x||^2.
-
-    The returned R satisfies both the size-reduction condition
-    |r_ij| <= |r_ii| / 2 (i < j) and the diagonal condition
-    delta * r_{k-1,k-1}^2 <= r_{k-1,k}^2 + r_kk^2 on adjacent pairs.
-    delta must lie in (1/4, 1]; the default 1 gives the strongest
-    diagonal ordering.
-    """
-    if not 0.25 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (1/4, 1], got {delta}")
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    require_finite(y, "y")
-    Q1, R = householder_qr(H)
-    n = R.shape[0]
-    Z = np.eye(n, dtype=np.int64)
-    y_hat, offset = _project(Q1, y)
-    k = 1
-    for _ in range(_LOOP_GUARD):
-        if k >= n:
-            break
-        for i in range(k - 1, -1, -1):
-            integer_gauss_transform(R, Z, i, k)
-        if delta * R[k - 1, k - 1] ** 2 > (R[k - 1, k] ** 2 + R[k, k] ** 2) * (1.0 + _SWAP_MARGIN):
-            _swap_and_retriangularize(R, Z, y_hat, k)
-            if k > 1:
-                k -= 1
-        else:
-            k += 1
-    else:
-        raise RuntimeError("lattice reduction failed to terminate")
-    return ReducedProblem(R=R, Z=Z, y_hat=y_hat, offset=offset)
 
 
 def plll_reduce(H, y):
@@ -173,21 +128,38 @@ def plll_reduce(H, y):
     for _ in range(_LOOP_GUARD):
         if k >= n:
             break
-        zeta = int(round_half_away(R[k - 1, k] / R[k - 1, k - 1]))
+        zeta = round_half_away_int(R[k - 1, k] / R[k - 1, k - 1])
         alpha = R[k - 1, k] - zeta * R[k - 1, k - 1]
         if R[k - 1, k - 1] ** 2 > (alpha**2 + R[k, k] ** 2) * (1.0 + _SWAP_MARGIN):
-            if zeta != 0:
-                integer_gauss_transform(R, Z, k - 1, k)
-            for i in range(k - 2, -1, -1):
+            for i in range(k - 1, -1, -1):
                 integer_gauss_transform(R, Z, i, k)
-            _swap_and_retriangularize(R, Z, y_hat, k)
-            if k > 1:
-                k -= 1
+            # Swap columns k-1, k and restore triangularity with one rotation.
+            R[:, [k - 1, k]] = R[:, [k, k - 1]]
+            Z[:, [k - 1, k]] = Z[:, [k, k - 1]]
+            c, s = givens_coeffs(R[k - 1, k - 1], R[k, k - 1])
+            rotate_rows(R, k - 1, k, c, s)
+            R[k, k - 1] = 0.0
+            rotate_rows(y_hat, k - 1, k, c, s)
+            k = max(k - 1, 1)
         else:
             k += 1
     else:
         raise RuntimeError("lattice reduction failed to terminate")
     return ReducedProblem(R=R, Z=Z, y_hat=y_hat, offset=offset)
+
+
+def lll_reduce(H, y):
+    """Full lattice reduction of min ||y - H x||^2: plll_reduce, then size reduction.
+
+    R satisfies |r_ij| <= |r_ii| / 2 (i < j) and, on adjacent pairs,
+    r_{k-1,k-1}^2 <= r_{k-1,k}^2 + r_kk^2: PLLL's swap test already uses
+    the size-reduced superdiagonal, and size reduction keeps the diagonal.
+    """
+    rp = plll_reduce(H, np.ravel(y))
+    for j in range(1, rp.n):
+        for i in range(j - 1, -1, -1):
+            integer_gauss_transform(rp.R, rp.Z, i, j)
+    return rp
 
 
 def _enumerate(rp, lower, upper, gamma, beta0, stats, trace):
@@ -220,11 +192,9 @@ def _enumerate(rp, lower, upper, gamma, beta0, stats, trace):
     z = np.zeros(n, dtype=np.int64)  # levels above the current one, for the dot product
     k = n - 1
     while True:
-        # Enter level k at the in-box integer nearest its center, rounding
-        # ties away from zero as linalg.round_half_away does.
+        # Enter level k at the in-box integer nearest its center.
         ck = (y_hat[k] - float(R[k, k + 1 :] @ z[k + 1 :])) / diag[k]
-        zk = math.floor(ck + 0.5) if ck >= 0 else -math.floor(0.5 - ck)
-        zk = min(max(zk, lower[k]), upper[k])
+        zk = min(max(round_half_away_int(ck), lower[k]), upper[k])
         c[k] = ck
         lo_f[k] = hi_f[k] = zk
         up[k] = ck >= zk

@@ -1,4 +1,9 @@
-"""Dense linear algebra kernels shared by the reduction and factorization code."""
+"""Dense linear algebra kernels shared by the reduction and factorization code.
+
+The package's one rounding rule, ties away from zero, lives here too.
+"""
+
+import math
 
 import numpy as np
 
@@ -11,6 +16,11 @@ def round_half_away(x):
     """Round to the nearest integer, ties away from zero. Returns floats."""
     x = np.asarray(x, dtype=float)
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+
+def round_half_away_int(x):
+    """round_half_away of one float as a Python int, by the same IEEE operations."""
+    return math.floor(x + 0.5) if x >= 0 else -math.floor(0.5 - x)
 
 
 def pairwise_sum(v):

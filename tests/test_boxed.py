@@ -341,6 +341,10 @@ class TestSharedFactorization:
         with pytest.raises(ValueError):
             solve_ilsb_many(np.eye(2), np.ones(2), BoxConstraint.uniform(2, 0, 1))
 
+    def test_box_length_must_match_columns(self):
+        with pytest.raises(ValueError, match="box has 3 coordinates, expected 2"):
+            solve_ilsb_many(np.eye(2), np.ones((2, 1)), BoxConstraint.uniform(3, 0, 1))
+
 
 class TestFiniteBound:
     def _problem(self):

@@ -124,7 +124,7 @@ class TestInvalidInput:
         rc = main([command, "--n", "4", "--rank", "1", "--trials", "1", "--seed", "-1",
                    "--out", str(out)])
         assert rc == EXIT_USAGE
-        assert_one_error_line(capsys, "non-negative")
+        assert_one_error_line(capsys, "--seed must be nonnegative, got -1")
         assert not out.exists()
 
     def test_experiment_box_beyond_int64_exit_code(self, tmp_path, capsys):
@@ -132,8 +132,42 @@ class TestInvalidInput:
         rc = main(["experiment-distribution", "--n", "4", "--rank", "1", "--trials", "1",
                    "--box", "0", BEYOND_INT64, "--out", str(out)])
         assert rc == EXIT_USAGE
-        assert_one_error_line(capsys, "out of bounds for int64")
+        assert_one_error_line(capsys, f"--box interval [0, {BEYOND_INT64}] leaves the int64 range")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["experiment-distribution", "experiment-compare"])
+    def test_experiment_product_beyond_int64_exit_code(self, tmp_path, capsys, command):
+        # Each bound fits int64, but a product of two entries does not.
+        out = tmp_path / "x.csv"
+        rc = main([command, "--n", "4", "--rank", "1", "--trials", "1",
+                   "--box", "0", str(2**63 - 1), "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert_one_error_line(capsys, f"entries in [0, {2**63 - 1}] can leave int64")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["experiment-distribution", "experiment-compare"])
+    @pytest.mark.parametrize("args, text", [
+        (["--n", "1", "--rank", "1"], "--n must be at least 2"),
+        (["--n", "4", "--rank", "1", "--box", "3", "1"], "--box interval [3, 1] is empty"),
+        (["--n", "4", "--rank", "1", "--trials", "0"], "--trials must be positive"),
+    ])
+    def test_experiment_params_exit_code(self, tmp_path, capsys, command, args, text):
+        out = tmp_path / "x.csv"
+        trials = [] if "--trials" in args else ["--trials", "1"]
+        assert main([command, *args, *trials, "--out", str(out)]) == EXIT_USAGE
+        assert_one_error_line(capsys, text)
+        assert not out.exists()
+
+    def test_factorize_float_matrix_exit_code(self, tmp_path, capsys):
+        (tmp_path / "A.txt").write_text("1 2.5 3\n4 5 6\n7 8 9\n")
+        assert main(["factorize", str(tmp_path / "A.txt"), "--rank", "1"]) == EXIT_USAGE
+        assert_one_error_line(capsys, "integer entries required")
+        assert [p.name for p in tmp_path.iterdir()] == ["A.txt"]
+
+    def test_ils_matrix_y_exit_code(self, tmp_path, capsys, counterexample_files):
+        (tmp_path / "y22.txt").write_text("1 2\n3 4\n")
+        assert main(["ils", counterexample_files[0], str(tmp_path / "y22.txt")]) == EXIT_USAGE
+        assert_one_error_line(capsys, "y must be a single row or column, got shape (2, 2)")
 
 
 class TestUnwritableOutput:

@@ -55,6 +55,12 @@ class TestResidual:
     def test_rejects_fractional_entries(self):
         with pytest.raises(ValueError):
             as_int_matrix(np.array([[1.5, 2.0]]))
+        with pytest.raises(ValueError, match="entries must be integers"):
+            as_int_matrix(np.array([[0.5]]))
+
+    def test_accepts_integral_floats(self):
+        M = as_int_matrix(np.array([[1.0, -2.0], [0.0, 3.0]]))
+        assert M.dtype == np.int64 and np.array_equal(M, [[1, -2], [0, 3]])
 
     @pytest.mark.parametrize("a", [3_037_000_499, 3_037_000_500, -3_037_000_500])
     def test_exact_at_the_int64_bound(self, a):
@@ -380,6 +386,15 @@ class TestBCDFactorize:
     def test_invalid_rank_rejected(self):
         with pytest.raises(ValueError):
             bcd_factorize(TRANSACTIONS, FactorizationConfig(rank=5))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"init": np.ones((2, 4), dtype=np.int64)}, r"explicit init has shape \(2, 4\)"),
+        ({"init": "best"}, "unknown init 'best'"),
+        ({"method": "exhaustive"}, "unknown method 'exhaustive'"),
+    ])
+    def test_invalid_config_rejected(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            bcd_factorize(TRANSACTIONS, FactorizationConfig(rank=2, **change))
 
     @pytest.mark.parametrize("box", [None, (0, 4)], ids=["unboxed", "boxed"])
     def test_half_sweep_nodes_logged(self, box):

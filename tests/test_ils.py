@@ -94,22 +94,6 @@ class TestLLLReduce:
             rp = lll_reduce(H.astype(float), y.astype(float))
             assert_reduction_contract(H, y, rp, rng)
 
-    def test_delta_validated(self):
-        with pytest.raises(ValueError):
-            lll_reduce(np.eye(2), np.zeros(2), delta=0.25)
-        with pytest.raises(ValueError):
-            lll_reduce(np.eye(2), np.zeros(2), delta=1.5)
-
-    def test_smaller_delta_accepted(self):
-        rng = np.random.default_rng(7)
-        H = random_full_rank(rng, 4, 4)
-        y = rng.integers(-9, 10, size=4)
-        rp = lll_reduce(H.astype(float), y.astype(float), delta=0.75)
-        for k in range(1, 4):
-            assert 0.75 * rp.R[k - 1, k - 1] ** 2 <= (
-                rp.R[k - 1, k] ** 2 + rp.R[k, k] ** 2
-            ) * (1 + 1e-9)
-
 
 class TestPLLLReduce:
     def test_identity(self):

@@ -10,6 +10,7 @@ from intlowrank.linalg import (
     pairwise_sum,
     rotate_rows,
     round_half_away,
+    round_half_away_int,
 )
 
 
@@ -20,10 +21,25 @@ class TestRounding:
     )
     def test_half_away_from_zero(self, x, expected):
         assert round_half_away(x) == expected
+        out = round_half_away_int(x)
+        assert type(out) is int and out == expected
 
     def test_vectorized(self):
         out = round_half_away([0.5, -0.5, 1.2])
         assert np.array_equal(out, [1.0, -1.0, 1.0])
+
+    def test_scalar_form_matches_array_form(self):
+        # Ties, their float neighbours, the largest float below one half,
+        # and magnitudes where every float is an integer.
+        rng = np.random.default_rng(23)
+        ties = np.arange(-40, 40) + 0.5
+        x = np.concatenate([
+            rng.normal(size=2000) * 10.0 ** rng.integers(-3, 20, size=2000),
+            ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf),
+            [0.0, -0.0, 0.49999999999999994, -0.49999999999999994],
+            [2.0**52 - 0.5, 0.5 - 2.0**52, 2.0**53 + 2],
+        ])
+        assert [round_half_away_int(v) for v in x.tolist()] == [int(v) for v in round_half_away(x)]
 
 
 class TestPairwiseSum:

@@ -1,4 +1,4 @@
-"""Property tests of the solvers and the block update against brute force.
+"""Property tests of the solvers and the block updates against brute force.
 
 Hypothesis draws small integer problems: n from 1 to 4 coordinates, box
 widths from 0 (a singleton coordinate) to 3, and integer H of full column
@@ -17,7 +17,7 @@ from intlowrank.boxed import (
     mch_reduce,
     solve_ilsb,
 )
-from intlowrank.factorize import update_u
+from intlowrank.factorize import update_u, update_v
 from intlowrank.ils import solve_ils
 from intlowrank.linalg import int_det
 
@@ -85,6 +85,26 @@ def test_update_u_rows_reach_the_brute_force_optimum(problem):
     for a, u in zip(A, U):
         assert box.contains(u)
         assert exact_residual_sq(V.T, a, u) == brute_box_min(V.T, a, box.lower, box.upper)
+
+
+# update_v on (A.T, V.T) solves the row problems of update_u on (A, V), one per column.
+@DETERMINISTIC
+@given(update_problems())
+def test_update_v_columns_reach_the_brute_force_optimum(problem):
+    A, V, box = problem
+    for a, v in zip(A, update_v(A.T, V.T, box).T):
+        assert box.contains(v)
+        assert exact_residual_sq(V.T, a, v) == brute_box_min(V.T, a, box.lower, box.upper)
+
+
+@DETERMINISTIC
+@given(update_problems())
+def test_unboxed_updates_reach_the_brute_force_optimum(problem):
+    A, V, _ = problem
+    optima = [brute_ils_min(V.T, a) for a in A]
+    assume(None not in optima)
+    for X in (update_u(A, V), update_v(A.T, V.T).T):
+        assert [exact_residual_sq(V.T, a, x) for a, x in zip(A, X)] == optima
 
 
 @DETERMINISTIC
