@@ -6,9 +6,11 @@ sharing the same coefficient matrix, so the exact squared Frobenius
 residual never increases from one half-sweep to the next. A half-sweep
 reduces that shared matrix once: without a box one lattice reduction
 serves every row, and with a box, whose column order depends on each
-row, one QR factorization does. A rounded real-least-squares variant of
-the sweep is provided as the comparison baseline; it carries no
-optimality guarantee.
+row, one QR factorization does. Equal rows of A (columns, for a V
+update) are the same problem, so each distinct one is solved once and
+the search nodes counted are the nodes actually searched. A rounded
+real-least-squares variant of the sweep is provided as the comparison
+baseline; it carries no optimality guarantee.
 """
 
 from dataclasses import dataclass, field
@@ -80,29 +82,53 @@ def round_project_orthonormal(A, V):
 def rounded_real_ls(H, y, box=None):
     """Round (and clamp to the box) the real least-squares solution.
 
-    Comparison baseline only: the rounded point is generally not the
-    integer optimum.
+    The one-column case of _rounded_real_ls_many. Comparison baseline
+    only: the rounded point is generally not the integer optimum.
     """
-    H = np.atleast_2d(np.asarray(H, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
+    return _rounded_real_ls_many(H, y[:, None], box)[:, 0]
+
+
+def _rounded_real_ls_many(H, Y, box):
+    """rounded_real_ls for every column of Y, from one QR of H."""
+    H = np.atleast_2d(np.asarray(H, dtype=float))
     Q1, R = householder_qr(H)
-    w = np.linalg.solve(R, Q1.T @ y)
-    x = round_half_away(w).astype(np.int64)
+    W = np.empty((H.shape[1], Y.shape[1]), order="F")
+    for j in range(Y.shape[1]):
+        W[:, j] = np.linalg.solve(R, Q1.T @ np.ascontiguousarray(Y[:, j]))
+    X = round_half_away(W).astype(np.int64, order="F")
     if box is not None:
-        x = np.minimum(np.maximum(x, box.lower), box.upper)
-    return x
+        np.clip(X, box.lower[:, None], box.upper[:, None], out=X)
+    return X
 
 
 def _solve_columns(H, Y, box, method, stats):
-    """X with column j minimizing ||Y[:, j] - H x_j||^2, one shared H for all j."""
-    if method == "ils":
-        if box is None:
-            return solve_ils_many(H, Y, stats)
-        return solve_ilsb_many(H, Y, box, stats)
-    X = np.empty((H.shape[1], Y.shape[1]), dtype=np.int64, order="F")
-    for j in range(Y.shape[1]):
-        X[:, j] = rounded_real_ls(H, Y[:, j], box)
-    return X
+    """X with column j minimizing ||Y[:, j] - H x_j||^2, one shared H for all j.
+
+    Equal columns of Y are one problem: only the first of each is solved,
+    and its x is copied to the others. Every solver handles one column at
+    a time against a reduction of H alone, so a subset of the columns gets
+    the same answers and searches as the whole block.
+    """
+    slots, first, inverse = {}, [], []
+    for j, col in enumerate(np.asfortranarray(Y).T):
+        key = col.tobytes()
+        if key not in slots:
+            slots[key] = len(first)
+            first.append(j)
+        inverse.append(slots[key])
+    distinct = Y if len(first) == Y.shape[1] else Y[:, first]
+    if method != "ils":
+        X = _rounded_real_ls_many(H, distinct, box)
+    elif box is None:
+        X = solve_ils_many(H, distinct, stats)
+    else:
+        X = solve_ilsb_many(H, distinct, box, stats)
+    if distinct is Y:
+        return X
+    full = np.empty((X.shape[0], Y.shape[1]), dtype=np.int64, order="F")
+    full[:] = X[:, inverse]
+    return full
 
 
 def update_u(A, V, box=None, method="ils", stats=None):
@@ -110,10 +136,11 @@ def update_u(A, V, box=None, method="ils", stats=None):
 
     Each row of U is an independent integer least squares problem with
     coefficient matrix V^T, which is reduced once for all rows; an
-    optional box applies per coordinate to every row. The default method
-    solves every row globally and adds each row's search to stats;
-    method "rounded_ls" substitutes the rounding baseline, which does not
-    search. Raises RankDeficientError when V^T lacks full column rank.
+    optional box applies per coordinate to every row. Equal rows share
+    one solve. The default method solves every distinct row globally and
+    adds its search to stats; method "rounded_ls" substitutes the
+    rounding baseline, which does not search. Raises RankDeficientError
+    when V^T lacks full column rank.
     """
     A = as_int_matrix(A)
     V = as_int_matrix(V)
@@ -220,7 +247,8 @@ class FactorizationResult:
 
     U is None when rank deficiency struck before the first half-sweep
     completed. half_sweep_nodes holds, for each residual_history entry,
-    the search nodes spent by the block update that produced it.
+    the search nodes spent by the block update that produced it: the
+    nodes actually searched, once per distinct row (column) of A.
     """
 
     U: np.ndarray | None

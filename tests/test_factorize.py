@@ -176,6 +176,41 @@ class TestUpdates:
             assert block.nodes == stats.nodes
             assert block.betas == stats.betas
 
+    @pytest.mark.parametrize("method", ["ils", "rounded_ls"])
+    @pytest.mark.parametrize("box", [None, (-2, 3)])
+    def test_repeated_targets_are_solved_once(self, method, box):
+        # Rows 0, 2 and 7 of A are equal, as are rows 1 and 5; so are
+        # columns 0 and 5, and columns 1 and 3.
+        rng = np.random.default_rng(70)
+        A = rng.integers(-6, 7, size=(5, 5))[[0, 1, 0, 2, 3, 1, 4, 0]][:, [0, 1, 2, 1, 3, 0, 4]]
+        V = random_full_rank(rng, 7, 2, lo=-4, hi=4).T
+        U = random_full_rank(rng, 8, 2, lo=-4, hi=4)
+        cons = BoxConstraint.uniform(2, *box) if box else None
+        u_stats, v_stats = SearchStats(), SearchStats()
+        new_u = update_u(A, V, cons, method=method, stats=u_stats)
+        new_v = update_v(A, U, cons, method=method, stats=v_stats)
+        # The layout of the factors that every solve is scattered into.
+        assert new_u.dtype == new_v.dtype == np.int64
+        assert new_u.flags.c_contiguous and new_v.flags.f_contiguous
+        for H, rows, targets, block in ((V.T, new_u, A, u_stats), (U, new_v.T, A.T, v_stats)):
+            H_f = H.astype(float)
+            stats, seen = SearchStats(), set()
+            for i, y in enumerate(targets):
+                # Only the first copy of a target is searched and counted.
+                counted = None if y.tobytes() in seen else stats
+                seen.add(y.tobytes())
+                y_f = y.astype(float)
+                if method == "rounded_ls":
+                    x = rounded_real_ls(H_f, y_f, cons)
+                elif cons is None:
+                    x, _ = solve_ils(H_f, y_f, stats=counted)
+                else:
+                    x, _ = solve_ilsb(H_f, y_f, cons, stats=counted)
+                assert np.array_equal(rows[i], x)
+            assert len(seen) == 5
+            assert block.nodes == stats.nodes
+            assert block.betas == stats.betas
+
     @pytest.mark.parametrize("box", [None, BoxConstraint.uniform(2, 0, 3)])
     def test_rank_deficient_factor_raises(self, box):
         deficient = np.array([[1, 2, 3, 4, 5, 6], [2, 4, 6, 8, 10, 12]])
@@ -463,6 +498,9 @@ class TestGoldenUnboxedRun:
         config = FactorizationConfig(rank=3, max_sweeps=3, init="most_frequent")
         result = bcd_factorize(A, config)
         assert result.residual_history == [101703, 33724, 8730, 5873, 4841, 4651]
-        assert result.half_sweep_nodes == [300, 300, 330, 338, 346, 330]
+        # The nodes of the distinct rows (columns) only: a product of
+        # entries in 1..4 repeats rows, and each repeat shares one search.
+        # Solving every copy gave [300, 300, 330, 338, 346, 330].
+        assert result.half_sweep_nodes == [185, 185, 201, 217, 211, 209]
         assert result.status == STATUS_MAX_SWEEPS
         assert result.sweeps == 3
