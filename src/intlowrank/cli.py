@@ -151,6 +151,8 @@ def _resolve_init(choice):
 
 
 def cmd_factorize(args):
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     a_path = Path(args.a_file)
     A = _load_int_matrix(a_path)
     config = FactorizationConfig(

@@ -6,9 +6,10 @@ sharing the same coefficient matrix, so the exact squared Frobenius
 residual never increases from one half-sweep to the next. A half-sweep
 reduces that shared matrix once: without a box one lattice reduction
 serves every row, and with a box, whose column order depends on each
-row, one QR factorization does. Equal rows of A (columns, for a V
-update) are the same problem, so each distinct one is solved once and
-the search nodes counted are the nodes actually searched. A rounded
+row, one QR factorization does, and many rows are reordered in one
+batched pass. Equal rows of A (columns, for a V update) are the same
+problem, so each distinct one is solved once and the search nodes
+counted are the nodes actually searched. A rounded
 real-least-squares variant of the sweep is provided as the comparison
 baseline; it carries no optimality guarantee.
 """

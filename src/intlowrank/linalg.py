@@ -28,7 +28,9 @@ def pairwise_sum(v):
 
     The result equals float(np.sum(v)) bit for bit: up to 128 terms go
     into 8 interleaved accumulators (fewer than 8 are added in sequence),
-    and longer lists split in two at a multiple of 8.
+    and longer lists split in two at a multiple of 8. A list of arrays of
+    one shape sums elementwise in the same order; no term is modified,
+    because every addition makes a new value.
     """
     n = len(v)
     if n > 128:
@@ -39,11 +41,11 @@ def pairwise_sum(v):
         acc, tail = v[:8], n - n % 8
         for i in range(8, tail, 8):
             for j in range(8):
-                acc[j] += v[i + j]
+                acc[j] = acc[j] + v[i + j]
         total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
         v = v[tail:]
     for x in v:
-        total += x
+        total = total + x
     return total
 
 

@@ -8,10 +8,12 @@ from conftest import (
 )
 
 from intlowrank.boxed import (
+    _BLOCK_MIN,
     BoundTable,
     BoxConstraint,
     _factor,
     _reorder,
+    _reorder_block,
     boxed_search,
     compute_bound_table,
     in_box_rounding,
@@ -311,18 +313,20 @@ class TestSolveILSb:
 class TestSharedFactorization:
     """The block solver must reproduce every one-column solve exactly."""
 
-    def test_solve_many_matches_solve_per_column(self):
+    # Narrower blocks are reordered per column, wider ones in one batched pass.
+    @pytest.mark.parametrize("width", [7, _BLOCK_MIN])
+    def test_solve_many_matches_solve_per_column(self, width):
         rng = np.random.default_rng(43)
         for n in (1, 1, 2, 3, 4, 5):
             H = random_full_rank(rng, n + 2, n, lo=-20, hi=20).astype(float)
-            Y = rng.integers(-60, 61, size=(n + 2, 7)).astype(float)
+            Y = rng.integers(-60, 61, size=(n + 2, width)).astype(float)
             lo = rng.integers(-4, 1, size=n)
             box = BoxConstraint(lo, lo + rng.integers(0, 6, size=n))  # some singletons
             block = SearchStats()
             X = solve_ilsb_many(H, Y, box, stats=block)
-            assert X.shape == (n, 7)
+            assert X.shape == (n, width)
             nodes, betas = 0, []
-            for j in range(7):
+            for j in range(width):
                 single, direct = SearchStats(), SearchStats()
                 x, _ = solve_ilsb(H, Y[:, j], box, stats=single)
                 assert np.array_equal(X[:, j], x)
@@ -336,6 +340,18 @@ class TestSharedFactorization:
             # The block's stats sum the columns' searches, in column order.
             assert block.nodes == nodes
             assert block.betas == betas
+
+    def test_bounds_beyond_float64_integers_go_per_column(self):
+        # 2**60 + 1 and 2**60 + 3 round to 2**60 in float64, so a batched
+        # pass would see a singleton and return a point outside the box.
+        rng = np.random.default_rng(44)
+        H = random_full_rank(rng, 6, 3, lo=-9, hi=9).astype(float)
+        Y = rng.integers(-60, 61, size=(6, _BLOCK_MIN + 4)).astype(float)
+        box = BoxConstraint([-(2**60), 0, 2**60 + 1], [2**60, 3, 2**60 + 3])
+        X = solve_ilsb_many(H, Y, box)
+        for x, y in zip(X.T, Y.T):
+            assert np.array_equal(x, solve_ilsb(H, y, box)[0])
+            assert box.contains(x)
 
     def test_block_must_be_two_dimensional(self):
         with pytest.raises(ValueError):
@@ -495,3 +511,60 @@ class TestListPassOracle:
                 assert np.array_equal(z, boxed_search(ref, ref_box, ref_bounds, stats=want_stats))
                 assert got_stats.nodes == want_stats.nodes
         assert 0 < moved < 240  # both layouts occur
+
+
+class TestBlockPassOracle:
+    """_reorder_block gives every column what _reorder gives it, bit for bit."""
+
+    def _blocks(self, count):
+        """Seeded blocks with n from 2 to 12; every other one holds rows of an exact U V.
+
+        Yields (factors, Y, box).
+        """
+        rng = np.random.default_rng(63)
+        made = 0
+        while made < count:
+            n = 2 + made % 11
+            m = n + int(rng.integers(1, 30))
+            p = int(rng.integers(1, 40))
+            if made % 2:
+                U = rng.integers(1, 5, size=(m, n))
+                V = rng.integers(1, 5, size=(n, m))
+                H, Y = V.T, (U @ V)[rng.integers(m, size=p)].T
+                box = BoxConstraint.uniform(n, 1, 4)
+            else:
+                H, Y = rng.integers(-9, 10, size=(m, n)), rng.integers(-60, 61, size=(m, p))
+                lo = rng.integers(-4, 1, size=n)
+                box = BoxConstraint(lo, lo + rng.integers(0, 6, size=n))  # some singletons
+            try:
+                factors = _factor(H.astype(float))
+            except RankDeficientError:
+                continue
+            made += 1
+            yield factors, Y.astype(float), box
+
+    def test_matches_list_pass(self):
+        mixed = 0
+        for factors, Y, box in self._blocks(66):
+            moved = 0
+            block = _reorder_block(factors, Y, box)
+            assert len(block) == Y.shape[1]
+            for (rp, pbox, bounds), y in zip(block, Y.T):
+                ref, ref_box, ref_bounds = _reorder(factors, np.ascontiguousarray(y), box)
+                for got, want in (
+                    (rp.Z, ref.Z), (rp.R, ref.R), (rp.y_hat, ref.y_hat), (rp.offset, ref.offset),
+                    (pbox.lower, ref_box.lower), (pbox.upper, ref_box.upper),
+                    (bounds.delta, ref_bounds.delta), (bounds.gamma, ref_bounds.gamma),
+                ):
+                    _assert_bits_equal(got, want)
+                # The search's BLAS row products depend on R's memory layout.
+                assert rp.R.flags.f_contiguous == ref.R.flags.f_contiguous
+                assert rp.R.flags.c_contiguous == ref.R.flags.c_contiguous
+                assert (rp.R is factors[1]) == (ref.R is factors[1])
+                moved += rp.R is not factors[1]
+                got_stats, want_stats = SearchStats(), SearchStats()
+                z = boxed_search(rp, pbox, bounds, stats=got_stats)
+                assert np.array_equal(z, boxed_search(ref, ref_box, ref_bounds, stats=want_stats))
+                assert got_stats.nodes == want_stats.nodes
+            mixed += 0 < moved < Y.shape[1]
+        assert mixed > 0  # blocks in which some columns never move

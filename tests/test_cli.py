@@ -118,14 +118,19 @@ class TestInvalidInput:
         assert main([command, str(a), *args]) == EXIT_USAGE
         assert_one_error_line(capsys, f"cannot read {a}: 'utf-8' codec can't decode byte 0xff")
 
-    @pytest.mark.parametrize("command", ["experiment-distribution", "experiment-compare"])
-    def test_negative_experiment_seed_exit_code(self, tmp_path, capsys, command):
-        out = tmp_path / "x.csv"
-        rc = main([command, "--n", "4", "--rank", "1", "--trials", "1", "--seed", "-1",
-                   "--out", str(out)])
-        assert rc == EXIT_USAGE
+    @pytest.mark.parametrize("command", [
+        ["experiment-distribution", "--n", "4", "--rank", "1", "--trials", "1"],
+        ["experiment-compare", "--n", "4", "--rank", "1", "--trials", "1"],
+        ["factorize", "A.txt", "--rank", "1", "--init", "random"],
+        ["factorize", "A.txt", "--rank", "1"],
+    ], ids=["experiment-distribution", "experiment-compare", "factorize-random", "factorize"])
+    def test_negative_seed_exit_code(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        save_matrix(tmp_path / "A.txt", np.array([[1, 2], [3, 4]]))
+        out = [] if command[0] == "factorize" else ["--out", "x.csv"]
+        assert main([*command, "--seed", "-1", *out]) == EXIT_USAGE
         assert_one_error_line(capsys, "--seed must be nonnegative, got -1")
-        assert not out.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["A.txt"]
 
     def test_experiment_box_beyond_int64_exit_code(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

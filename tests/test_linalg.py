@@ -51,6 +51,17 @@ class TestPairwiseSum:
             v = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
             assert pairwise_sum(v.tolist()) == float(np.sum(v)), n
 
+    def test_arrays_sum_lane_by_lane(self):
+        # The terms are rows of M; an in-place add would write into M.
+        rng = np.random.default_rng(18)
+        for n in range(1, 301):
+            M = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-8, 9, size=(n, 3))
+            before = M.copy()
+            total = pairwise_sum(list(M))
+            assert np.array_equal(M, before), n
+            for lane in range(3):
+                assert total[lane] == float(np.sum(np.ascontiguousarray(M[:, lane]))), n
+
     def test_eight_accumulators(self):
         # In sequence the four ones are lost against 1e17; numpy's eight
         # accumulators add them up first.

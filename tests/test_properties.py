@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from intlowrank.boxed import (
+    _BLOCK_MIN,
     BoxConstraint,
     boxed_search,
     compute_bound_table,
@@ -59,10 +60,14 @@ def boxed_problems(draw):
 
 @st.composite
 def update_problems(draw):
-    """(A, V, box) with V of full row rank k <= 3, one box for every row of U."""
+    """(A, V, box) with V of full row rank k <= 3, one box for every row of U.
+
+    A has 1 to 3 rows, or _BLOCK_MIN, which takes the boxed updates to
+    the batched reordering when they are distinct.
+    """
     k = draw(st.integers(1, 3))
     V = _full_rank(draw, draw(st.integers(k, k + 2)), k, -4, 4).T
-    A = _matrix(draw, draw(st.integers(1, 3)), V.shape[1], -12, 12)
+    A = _matrix(draw, draw(st.sampled_from((1, 2, 3, _BLOCK_MIN))), V.shape[1], -12, 12)
     return A, V, _box(draw, k)
 
 
