@@ -5,8 +5,7 @@ reduction here is restricted to column reorderings: the constraint set in
 reduced coordinates stays a box with permuted bounds. The reordering
 ranks columns by how costly their second-best in-box choice is. The
 search is the zigzag shared with ils.se_search, given the permuted box
-bounds and a table of precomputed per-level bounds that tighten its
-radius test.
+bounds; it prunes by its radius alone.
 
 The order depends on the right-hand side, so a block of them shares only
 the QR of H. A wide block is reordered in one batched numpy pass
@@ -17,15 +16,13 @@ columns. Both give every column the same result, bit for bit.
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from .exceptions import EmptyBoxError
 from .ils import ReducedProblem, _enumerate, _project
-from .linalg import givens_coeffs, householder_qr, pairwise_sum, require_finite, round_half_away_int
+from .linalg import givens_coeffs, householder_qr, require_finite, round_half_away_int
 
-_SIGN_TOL = 1e-12
 # A block of at least this many right-hand sides is reordered in one
 # batched pass (_reorder_block); below it numpy's fixed cost per call
 # outweighs the batching and each column takes the list pass (_reorder).
@@ -94,10 +91,6 @@ class BoundTable:
     delta: np.ndarray
     gamma: np.ndarray
 
-    @classmethod
-    def zero(cls, n):
-        return cls(np.zeros(n), np.zeros(n))
-
 
 def in_box_rounding(c, lo, hi):
     """Nearest and second-nearest integers to c inside [lo, hi].
@@ -153,14 +146,13 @@ def mch_reduce(H, y, box):
     y = np.asarray(y, dtype=float).ravel()
     require_finite(y, "y")
     _check_box(H, box)
-    rp, permuted_box, _ = _reorder(_factor(H), y, box)
-    return rp, permuted_box
+    return _reorder(_factor(H), y, box)
 
 
 def _reorder(factors, y, box):
-    """mch_reduce on a shared _factor(H), plus the bound table of its result.
+    """mch_reduce on a shared _factor(H).
 
-    Returns (rp, permuted_box, bounds); reorders copies, never the factors.
+    Returns (rp, permuted_box); reorders copies, never the factors.
     Runs on Python lists, as ils._enumerate does, since numpy calls per
     entry would dominate a row's cost. Rotations are the array form's
     elementwise operations with givens_coeffs' coefficients. Centers and
@@ -210,20 +202,20 @@ def _reorder(factors, y, box):
     Z[cols, np.arange(n)] = 1
     R_out = np.array(R, order="F") if moved else R_factor
     rp = ReducedProblem(R=R_out, Z=Z, y_hat=np.array(y_hat), offset=offset)
-    return rp, BoxConstraint(lower, upper), _bound_table(R, y_hat, lower, upper)
+    return rp, BoxConstraint(lower, upper)
 
 
 def _reorder_block(factors, Y, box):
     """_reorder of every column of Y in one batched pass, bit for bit.
 
-    Returns one (rp, permuted_box, bounds) per column. The list pass runs
-    on a stacked (p, n, 2n+2) array [R | S | y_hat | y_bar], one slice per
+    Returns one (rp, permuted_box) per column. The list pass runs on a
+    stacked (p, n, 2n+2) array [R | S | y_hat | y_bar], one slice per
     column, and every float comes from the IEEE operation of _reorder on
     the same operands in the same order: elementwise ufuncs only, centers
     and norms summed in sequence from +0.0 one row at a time (never a BLAS
-    product or a pairwise sum), each rotation applied to whole rows of the
-    columns it turns, and the bound table summed in pairwise_sum's order.
-    Box bounds are float64 here, so every |bound| must be below 2**53.
+    product or a pairwise sum), and each rotation applied to whole rows of
+    the columns it turns. Box bounds are float64 here, so every |bound|
+    must be below 2**53.
     """
     Q1, R_factor, S = factors
     n = R_factor.shape[0]
@@ -281,18 +273,6 @@ def _reorder_block(factors, Y, box):
             W[act, q], W[act, q + 1] = c * a + s * b, -s * a + c * b
             W[act, q + 1, q] = 0.0
     R, y_hat = W[:, :, :n], np.ascontiguousarray(W[:, :, 2 * n])
-    # The bound table of _bound_table: index 0 gives lo_end, 1 gives hi_end.
-    lower, upper = B[:, 1, None], B[:, 2, None]
-    terms = R * np.stack((np.where(R > 0, upper, lower), np.where(R > 0, lower, upper)))
-    terms = np.ascontiguousarray(terms.transpose(2, 3, 0, 1))  # [k, j] is a (2, p) block
-    delta = np.zeros((n, p))
-    for k in range(n):
-        ends = y_hat[:, k] - pairwise_sum(list(terms[k, k:]))
-        same_sign = (ends > _SIGN_TOL).all(axis=0) | (ends < -_SIGN_TOL).all(axis=0)
-        delta[k] = np.where(same_sign, np.minimum(ends[0] * ends[0], ends[1] * ends[1]), 0.0)
-    gamma = np.zeros((n, p))
-    gamma[1:] = delta[:-1]
-    delta, gamma = delta.T.copy(), np.add.accumulate(gamma).T.copy()  # sequential from +0.0
     B = B.astype(np.int64)
     Z = np.zeros((p, n, n), dtype=np.int64)
     Z[every[:, None], B[:, 0], rows] = 1
@@ -304,7 +284,7 @@ def _reorder_block(factors, Y, box):
             boxes[key] = BoxConstraint(B[j, 1], B[j, 2])
         R_out = np.array(R[j], order="F") if moved[j] else R_factor
         rp = ReducedProblem(R=R_out, Z=Z[j], y_hat=y_hat[j], offset=float(offset[j]))
-        out.append((rp, boxes[key], BoundTable(delta=delta[j], gamma=gamma[j])))
+        out.append((rp, boxes[key]))
     return out
 
 
@@ -315,44 +295,31 @@ def compute_bound_table(R, y_hat, box):
     interval by the box; when both endpoints share a sign the squared
     smaller endpoint is a valid lower bound, otherwise the term can vanish
     and the bound is zero. Endpoints within 1e-12 of zero count as
-    sign-straddling. Runs on Python lists, the code _reorder runs on its
-    result, and sums in numpy's pairwise order, so the table is numpy's.
+    sign-straddling. The solver does not use the table: on the problems
+    it has been measured on, the bounds almost never prune a node.
     """
-    R = np.asarray(R, dtype=float).tolist()
-    y_hat = np.asarray(y_hat, dtype=float).ravel().tolist()
-    return _bound_table(R, y_hat, box.lower.tolist(), box.upper.tolist())
-
-
-def _bound_table(R, y_hat, lower, upper):
-    """compute_bound_table on lists; pairwise_sum keeps numpy's sums bit for bit."""
-    n = len(y_hat)
-    delta = [0.0] * n
-    for k in range(n):
-        # Rounding is monotone: r * hi is the larger product when r > 0.
-        terms = list(zip(R[k][k:], lower[k:], upper[k:]))
-        lo_end = y_hat[k] - pairwise_sum([r * (hi if r > 0 else lo) for r, lo, hi in terms])
-        hi_end = y_hat[k] - pairwise_sum([r * (lo if r > 0 else hi) for r, lo, hi in terms])
-        same_positive = lo_end > _SIGN_TOL and hi_end > _SIGN_TOL
-        same_negative = lo_end < -_SIGN_TOL and hi_end < -_SIGN_TOL
-        if same_positive or same_negative:
+    R, y_hat = np.asarray(R, dtype=float), np.asarray(y_hat, dtype=float).ravel()
+    lower, upper = box.lower.astype(float), box.upper.astype(float)
+    delta = np.zeros(y_hat.shape[0])
+    for k in range(delta.shape[0]):
+        p, q = R[k, k:] * lower[k:], R[k, k:] * upper[k:]
+        lo_end = y_hat[k] - float(np.maximum(p, q).sum())
+        hi_end = y_hat[k] - float(np.minimum(p, q).sum())
+        if min(lo_end, hi_end) > 1e-12 or max(lo_end, hi_end) < -1e-12:
             delta[k] = min(lo_end * lo_end, hi_end * hi_end)
-    gamma = list(accumulate(delta[:-1], initial=0.0))  # sequential, as np.cumsum
-    return BoundTable(delta=np.array(delta), gamma=np.array(gamma))
+    return BoundTable(delta=delta, gamma=np.concatenate(([0.0], np.cumsum(delta)[:-1])))
 
 
-def boxed_search(rp, box, bounds, beta0=np.inf, stats=None, trace=None):
+def boxed_search(rp, box, beta0=np.inf, stats=None, trace=None):
     """Best-first enumeration over the box in reduced coordinates.
 
-    The shared zigzag of ils.se_search, clipped to the box and pruned by
-    the bound table: candidates at each level zigzag outward from the
-    clamped rounding of the conditional center, and backtracking skips
-    levels whose interval is fully enumerated, which is what guarantees
-    termination on every nonempty box. Returns a global minimizer, or
-    None when a finite beta0 admits no point. trace, when given, receives
-    (level, z[level:]) for every visited node.
+    The zigzag of ils.se_search (ils._enumerate), clipped to the box:
+    backtracking skips levels whose interval is fully enumerated, which
+    guarantees termination on every nonempty box. Returns a global
+    minimizer, or None when a finite beta0 admits no point. trace, when
+    given, receives (level, z[level:]) for every visited node.
     """
-    lower, upper, gamma = box.lower.tolist(), box.upper.tolist(), bounds.gamma.tolist()
-    return _enumerate(rp, lower, upper, gamma, beta0, stats, trace)
+    return _enumerate(rp, box.lower.tolist(), box.upper.tolist(), beta0, stats, trace)
 
 
 def solve_ilsb(H, y, box, stats=None):
@@ -374,12 +341,12 @@ def solve_ilsb_many(H, Y, box, stats=None):
 
     The column order of the reduction depends on each right-hand side,
     so only the QR of H and R^{-T} are shared. Each column is reordered
-    as mch_reduce would and gets its bound table: a block of at least
-    _BLOCK_MIN columns in one batched pass, a narrower one (or a box
-    with a bound float64 cannot hold exactly) one column at a time, as
-    numpy's cost per call outweighs the batching there; the results are
-    the same bit for bit. Then a search per column adds its nodes to
-    stats. Returns X, whose column j is x_j.
+    as mch_reduce would: a block of at least _BLOCK_MIN columns in one
+    batched pass, a narrower one (or a box with a bound float64 cannot
+    hold exactly) one column at a time, as numpy's cost per call
+    outweighs the batching there; the results are the same bit for bit.
+    Then a search per column adds its nodes to stats. Returns X, whose
+    column j is x_j.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     Y = np.asarray(Y, dtype=float)
@@ -394,6 +361,6 @@ def solve_ilsb_many(H, Y, box, stats=None):
         reduced = _reorder_block(factors, Y, box)
     else:
         reduced = (_reorder(factors, np.ascontiguousarray(y), box) for y in Y.T)
-    for j, (rp, permuted_box, bounds) in enumerate(reduced):
-        X[:, j] = rp.Z @ boxed_search(rp, permuted_box, bounds, stats=stats)
+    for j, (rp, permuted_box) in enumerate(reduced):
+        X[:, j] = rp.Z @ boxed_search(rp, permuted_box, stats=stats)
     return X

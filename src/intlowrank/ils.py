@@ -10,7 +10,7 @@ followed by a full size-reduction pass, which makes it LLL-reduced. The
 reduction depends on H alone, so problems that share H share one
 reduction and differ only in y_hat. The enumeration (_enumerate) serves
 both solvers: se_search runs it on an unbounded box, and the boxed
-solver's boxed_search on its box with a bound table.
+solver's boxed_search on its box.
 """
 
 from dataclasses import dataclass, field
@@ -162,20 +162,20 @@ def lll_reduce(H, y):
     return rp
 
 
-def _enumerate(rp, lower, upper, gamma, beta0, stats, trace):
+def _enumerate(rp, lower, upper, beta0, stats, trace):
     """Zigzag enumeration of min ||y_hat - R z||^2 over lower <= z <= upper.
 
-    The per-level bounds lower[k], upper[k] may be -inf and inf, and
-    gamma[k] is a lower bound on the residual mass of the levels below k
-    (zero when nothing is known). Each level starts at the clamped
+    The per-level bounds lower[k], upper[k] may be -inf and inf. A node
+    is pruned when its partial residual reaches the radius: the best
+    residual so far, initially beta0. Each level starts at the clamped
     rounding of its conditional center and then takes the nearest untried
     in-box integer, so distances are nondecreasing and a failed radius
     test ends the level. On an exact distance tie the upper neighbour
     wins when the center lies at or above the first candidate, else the
     lower one. Backtracking skips levels whose interval is exhausted.
     Returns a global minimizer, or None when a finite beta0 admits no
-    point. Per-level state lives in Python lists, because numpy scalar
-    access would dominate the cost of a node.
+    point; a coordinate outside int64 raises a ValueError. Per-level
+    state lives in Python lists, as numpy scalar access would dominate.
     """
     R = rp.R
     n = rp.n
@@ -191,49 +191,52 @@ def _enumerate(rp, lower, upper, gamma, beta0, stats, trace):
     up = [False] * n
     z = np.zeros(n, dtype=np.int64)  # levels above the current one, for the dot product
     k = n - 1
-    while True:
-        # Enter level k at the in-box integer nearest its center.
-        ck = (y_hat[k] - float(R[k, k + 1 :] @ z[k + 1 :])) / diag[k]
-        zk = min(max(round_half_away_int(ck), lower[k]), upper[k])
-        c[k] = ck
-        lo_f[k] = hi_f[k] = zk
-        up[k] = ck >= zk
+    try:
         while True:
-            nodes += 1
-            if trace is not None:
-                trace.append((k, (zk, *z[k + 1 :].tolist())))
-            d = diag[k] * (zk - ck)
-            partial = t[k] + d * d
-            if partial + gamma[k] < beta:
-                z[k] = zk
-                if k > 0:
-                    t[k - 1] = partial
-                    k -= 1
+            # Enter level k at the in-box integer nearest its center.
+            ck = (y_hat[k] - float(R[k, k + 1 :] @ z[k + 1 :])) / diag[k]
+            zk = min(max(round_half_away_int(ck), lower[k]), upper[k])
+            c[k] = ck
+            lo_f[k] = hi_f[k] = zk
+            up[k] = ck >= zk
+            while True:
+                nodes += 1
+                if trace is not None:
+                    trace.append((k, (zk, *z[k + 1 :].tolist())))
+                d = diag[k] * (zk - ck)
+                partial = t[k] + d * d
+                if partial < beta:
+                    z[k] = zk
+                    if k > 0:
+                        t[k - 1] = partial
+                        k -= 1
+                        break
+                    beta = partial
+                    best = z.copy()
+                    if stats is not None:
+                        stats.betas.append(beta)
+                # Backtrack to the nearest level with an untried in-box integer.
+                k += 1
+                while k < n:
+                    a = lo_f[k] - 1
+                    b = hi_f[k] + 1
+                    ck = c[k]
+                    if a < lower[k]:
+                        if b > upper[k]:
+                            k += 1
+                            continue
+                        zk = hi_f[k] = b
+                    elif b > upper[k] or ck - a < b - ck or (ck - a == b - ck and not up[k]):
+                        zk = lo_f[k] = a
+                    else:
+                        zk = hi_f[k] = b
                     break
-                beta = partial
-                best = z.copy()
-                if stats is not None:
-                    stats.betas.append(beta)
-            # Backtrack to the nearest level with an untried in-box integer.
-            k += 1
-            while k < n:
-                a = lo_f[k] - 1
-                b = hi_f[k] + 1
-                ck = c[k]
-                if a < lower[k]:
-                    if b > upper[k]:
-                        k += 1
-                        continue
-                    zk = hi_f[k] = b
-                elif b > upper[k] or ck - a < b - ck or (ck - a == b - ck and not up[k]):
-                    zk = lo_f[k] = a
                 else:
-                    zk = hi_f[k] = b
-                break
-            else:
-                if stats is not None:
-                    stats.nodes += nodes
-                return best
+                    if stats is not None:
+                        stats.nodes += nodes
+                    return best
+    except OverflowError:  # z is int64, and a center can lie beyond it
+        raise ValueError("a search coordinate is outside the int64 range") from None
 
 
 def se_search(rp, beta0=np.inf, stats=None):
@@ -247,8 +250,7 @@ def se_search(rp, beta0=np.inf, stats=None):
     comes first when the center lies at or above the level's first
     (rounded) integer, else the lower one.
     """
-    n = rp.n
-    return _enumerate(rp, [-np.inf] * n, [np.inf] * n, [0.0] * n, beta0, stats, None)
+    return _enumerate(rp, [-np.inf] * rp.n, [np.inf] * rp.n, beta0, stats, None)
 
 
 def solve_ils(H, y, stats=None):

@@ -23,35 +23,14 @@ def round_half_away_int(x):
     return math.floor(x + 0.5) if x >= 0 else -math.floor(0.5 - x)
 
 
-def pairwise_sum(v):
-    """Sum of a list of floats in the order numpy's sum adds an array.
-
-    The result equals float(np.sum(v)) bit for bit: up to 128 terms go
-    into 8 interleaved accumulators (fewer than 8 are added in sequence),
-    and longer lists split in two at a multiple of 8. A list of arrays of
-    one shape sums elementwise in the same order; no term is modified,
-    because every addition makes a new value.
-    """
-    n = len(v)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return pairwise_sum(v[:half]) + pairwise_sum(v[half:])
-    total = 0.0
-    if n >= 8:
-        acc, tail = v[:8], n - n % 8
-        for i in range(8, tail, 8):
-            for j in range(8):
-                acc[j] = acc[j] + v[i + j]
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-        v = v[tail:]
-    for x in v:
-        total = total + x
-    return total
-
-
 def require_finite(arr, name):
+    """A ValueError unless every entry of arr and its squared norm are finite float64."""
+    with np.errstate(over="ignore"):  # a non-finite entry also makes the norm non-finite
+        if np.isfinite(np.vdot(arr, arr)):
+            return
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
+    raise ValueError(f"the squared norm of {name} overflows float64")
 
 
 def _check_diagonal(R, scale):

@@ -9,7 +9,6 @@ from conftest import (
 
 from intlowrank.boxed import (
     _BLOCK_MIN,
-    BoundTable,
     BoxConstraint,
     _factor,
     _reorder,
@@ -183,7 +182,7 @@ class TestBoxedSearch:
         s = np.array([1, 0, 2])
         box = BoxConstraint(s, s)
         rp, pbox = mch_reduce(H.astype(float), y.astype(float), box)
-        z = boxed_search(rp, pbox, compute_bound_table(rp.R, rp.y_hat, pbox))
+        z = boxed_search(rp, pbox)
         assert np.array_equal(rp.Z @ z, s)
 
     def test_matches_exhaustive_oracle(self):
@@ -195,32 +194,13 @@ class TestBoxedSearch:
             assert np.all(x >= lo) and np.all(x <= hi)
             assert exact_residual_sq(H, y, x) == brute_box_min(H, y, lo, hi)
 
-    def test_tight_bounds_prune_a_subset_of_nodes(self):
-        rng = np.random.default_rng(27)
-        checked = 0
-        for _ in range(40):
-            n = int(rng.integers(2, 6))
-            H, y, lo, hi = make_ilsb_instance(rng, n)
-            box = BoxConstraint(lo, hi)
-            rp, pbox = mch_reduce(H.astype(float), y.astype(float), box)
-            table = compute_bound_table(rp.R, rp.y_hat, pbox)
-            trace_tight, trace_plain = [], []
-            z_tight = boxed_search(rp, pbox, table, trace=trace_tight)
-            z_plain = boxed_search(rp, pbox, BoundTable.zero(n), trace=trace_plain)
-            resid = lambda z: float(np.sum((rp.y_hat - rp.R @ z) ** 2))  # noqa: E731
-            assert resid(z_tight) == pytest.approx(resid(z_plain))
-            assert set(trace_tight) <= set(trace_plain)
-            if table.gamma.max() > 0:
-                checked += 1
-        assert checked > 0  # the sweep must exercise nonzero bounds
-
     def test_bounds_strictly_decreasing(self):
         rng = np.random.default_rng(28)
         H, y, lo, hi = make_ilsb_instance(rng, 4)
         box = BoxConstraint(lo, hi)
         rp, pbox = mch_reduce(H.astype(float), y.astype(float), box)
         stats = SearchStats()
-        boxed_search(rp, pbox, compute_bound_table(rp.R, rp.y_hat, pbox), stats=stats)
+        boxed_search(rp, pbox, stats=stats)
         assert all(b < a for a, b in zip(stats.betas, stats.betas[1:]))
 
     def test_wide_center_outside_box(self):
@@ -231,7 +211,7 @@ class TestBoxedSearch:
             R=np.array([[1.0]]), Z=np.eye(1, dtype=np.int64), y_hat=np.array([100.0]), offset=0.0
         )
         box = BoxConstraint([0], [4])
-        z = boxed_search(rp, box, BoundTable.zero(1))
+        z = boxed_search(rp, box)
         assert np.array_equal(z, [4])
 
 
@@ -241,7 +221,7 @@ def _wide_box_matches_unbounded(rp):
     plain, wide = SearchStats(), SearchStats()
     z_plain = se_search(rp, stats=plain)
     box = BoxConstraint.uniform(n, -(10**6), 10**6)
-    z_wide = boxed_search(rp, box, BoundTable.zero(n), stats=wide)
+    z_wide = boxed_search(rp, box, stats=wide)
     assert np.array_equal(z_plain, z_wide)
     assert plain.nodes == wide.nodes
     assert plain.betas == wide.betas
@@ -332,8 +312,7 @@ class TestSharedFactorization:
                 assert np.array_equal(X[:, j], x)
                 # The one-column solve is the reduction and search of the vector.
                 rp, pbox = mch_reduce(H, Y[:, j], box)
-                table = compute_bound_table(rp.R, rp.y_hat, pbox)
-                assert np.array_equal(x, rp.Z @ boxed_search(rp, pbox, table, stats=direct))
+                assert np.array_equal(x, rp.Z @ boxed_search(rp, pbox, stats=direct))
                 assert (single.nodes, single.betas) == (direct.nodes, direct.betas)
                 nodes += single.nodes
                 betas += single.betas
@@ -367,18 +346,16 @@ class TestFiniteBound:
         rng = np.random.default_rng(60)
         H, y, lo, hi = make_ilsb_instance(rng, 3)
         box = BoxConstraint(lo, hi)
-        rp, pbox = mch_reduce(H.astype(float), y.astype(float), box)
-        table = compute_bound_table(rp.R, rp.y_hat, pbox)
-        return rp, pbox, table
+        return mch_reduce(H.astype(float), y.astype(float), box)
 
     def test_exclusive_initial_bound_returns_none(self):
-        rp, pbox, table = self._problem()
-        assert boxed_search(rp, pbox, table, beta0=0.0) is None
+        rp, pbox = self._problem()
+        assert boxed_search(rp, pbox, beta0=0.0) is None
 
     def test_generous_initial_bound_matches_default(self):
-        rp, pbox, table = self._problem()
-        z_default = boxed_search(rp, pbox, table)
-        z_bounded = boxed_search(rp, pbox, table, beta0=1e12)
+        rp, pbox = self._problem()
+        z_default = boxed_search(rp, pbox)
+        z_bounded = boxed_search(rp, pbox, beta0=1e12)
         resid = lambda z: float(np.sum((rp.y_hat - rp.R @ z) ** 2))  # noqa: E731
         assert resid(z_default) == pytest.approx(resid(z_bounded))
 
@@ -437,20 +414,6 @@ def _array_reorder(factors, y, box):
     return ReducedProblem(R=R, Z=Z, y_hat=y_hat, offset=offset), BoxConstraint(lower, upper)
 
 
-def _array_bound_table(R, y_hat, box):
-    """The array form of compute_bound_table, kept as its oracle."""
-    n = y_hat.shape[0]
-    lower, upper = box.lower.astype(float), box.upper.astype(float)
-    delta = np.zeros(n)
-    for k in range(n):
-        p, q = R[k, k:] * lower[k:], R[k, k:] * upper[k:]
-        lo_end = y_hat[k] - float(np.maximum(p, q).sum())
-        hi_end = y_hat[k] - float(np.minimum(p, q).sum())
-        if (lo_end > 1e-12 and hi_end > 1e-12) or (lo_end < -1e-12 and hi_end < -1e-12):
-            delta[k] = min(lo_end * lo_end, hi_end * hi_end)
-    return BoundTable(delta=delta, gamma=np.concatenate(([0.0], np.cumsum(delta)[:-1])))
-
-
 def _assert_bits_equal(a, b):
     a, b = np.asarray(a), np.asarray(b)
     assert a.dtype == b.dtype and a.shape == b.shape
@@ -490,25 +453,21 @@ class TestListPassOracle:
     def test_matches_array_form(self):
         moved = 0
         for factors, y, box, exact in self._problems(240):
-            rp, pbox, bounds = _reorder(factors, y, box)
+            rp, pbox = _reorder(factors, y, box)
             ref, ref_box = _array_reorder(factors, y, box)
-            ref_bounds = _array_bound_table(ref.R, ref.y_hat, ref_box)
             for got, want in (
                 (rp.Z, ref.Z), (rp.R, ref.R), (rp.y_hat, ref.y_hat), (rp.offset, ref.offset),
                 (pbox.lower, ref_box.lower), (pbox.upper, ref_box.upper),
-                (bounds.delta, ref_bounds.delta), (bounds.gamma, ref_bounds.gamma),
             ):
                 _assert_bits_equal(got, want)
-            # The public wrapper runs the same bound-table code.
-            _assert_bits_equal(compute_bound_table(rp.R, rp.y_hat, pbox).gamma, bounds.gamma)
             # The search's BLAS row products depend on R's memory layout.
             assert rp.R.flags.f_contiguous == ref.R.flags.f_contiguous
             assert rp.R.flags.c_contiguous == ref.R.flags.c_contiguous
             moved += rp.R is not factors[1]
             if exact or rp.n <= 12:  # wide random boxes make large searches
                 got_stats, want_stats = SearchStats(), SearchStats()
-                z = boxed_search(rp, pbox, bounds, stats=got_stats)
-                assert np.array_equal(z, boxed_search(ref, ref_box, ref_bounds, stats=want_stats))
+                z = boxed_search(rp, pbox, stats=got_stats)
+                assert np.array_equal(z, boxed_search(ref, ref_box, stats=want_stats))
                 assert got_stats.nodes == want_stats.nodes
         assert 0 < moved < 240  # both layouts occur
 
@@ -549,12 +508,11 @@ class TestBlockPassOracle:
             moved = 0
             block = _reorder_block(factors, Y, box)
             assert len(block) == Y.shape[1]
-            for (rp, pbox, bounds), y in zip(block, Y.T):
-                ref, ref_box, ref_bounds = _reorder(factors, np.ascontiguousarray(y), box)
+            for (rp, pbox), y in zip(block, Y.T):
+                ref, ref_box = _reorder(factors, np.ascontiguousarray(y), box)
                 for got, want in (
                     (rp.Z, ref.Z), (rp.R, ref.R), (rp.y_hat, ref.y_hat), (rp.offset, ref.offset),
                     (pbox.lower, ref_box.lower), (pbox.upper, ref_box.upper),
-                    (bounds.delta, ref_bounds.delta), (bounds.gamma, ref_bounds.gamma),
                 ):
                     _assert_bits_equal(got, want)
                 # The search's BLAS row products depend on R's memory layout.
@@ -563,8 +521,8 @@ class TestBlockPassOracle:
                 assert (rp.R is factors[1]) == (ref.R is factors[1])
                 moved += rp.R is not factors[1]
                 got_stats, want_stats = SearchStats(), SearchStats()
-                z = boxed_search(rp, pbox, bounds, stats=got_stats)
-                assert np.array_equal(z, boxed_search(ref, ref_box, ref_bounds, stats=want_stats))
+                z = boxed_search(rp, pbox, stats=got_stats)
+                assert np.array_equal(z, boxed_search(ref, ref_box, stats=want_stats))
                 assert got_stats.nodes == want_stats.nodes
             mixed += 0 < moved < Y.shape[1]
         assert mixed > 0  # blocks in which some columns never move

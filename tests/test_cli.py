@@ -100,6 +100,30 @@ class TestOutOfRangeEntry:
         bound = f"upper bound {hi}" if lo == "0" else f"lower bound {lo}"
         assert_one_error_line(capsys, f"box {bound} is outside the int64 range")
 
+    # The unconstrained optima lie past int64: about (1.5e19, -1.5e19), and
+    # 1e310, whose center is inf in float64.
+    @pytest.mark.parametrize("h_text, y_text", [("1 0\n0 1\n1 1\n", "3e19\n2\n3\n"),
+                                                ("1e-300\n0\n", "1e10\n0\n")],
+                             ids=["3e19", "inf-center"])
+    def test_search_coordinate_beyond_int64_exit_code(self, tmp_path, capsys, h_text, y_text):
+        (tmp_path / "H.txt").write_text(h_text)
+        (tmp_path / "y.txt").write_text(y_text)
+        assert main(["ils", str(tmp_path / "H.txt"), str(tmp_path / "y.txt")]) == EXIT_USAGE
+        assert_one_error_line(capsys, "a search coordinate is outside the int64 range")
+
+    # Finite entries whose squares overflow float64; H has full column rank.
+    @pytest.mark.parametrize("box", [[], ["--box", "0", "3"]])
+    @pytest.mark.parametrize("h_text, y_text, name", [("1e200 0\n0 1\n1 1\n", "1\n2\n3\n", "H"),
+                                                      ("1e160 0\n0 1\n1 1\n", "1\n2\n3\n", "H"),
+                                                      ("1 0\n0 1\n1 1\n", "1e200\n2\n3\n", "y")],
+                             ids=["H-1e200", "H-1e160", "y-1e200"])
+    def test_squared_norm_beyond_float64_exit_code(self, tmp_path, capsys, h_text, y_text, name,
+                                                   box):
+        (tmp_path / "H.txt").write_text(h_text)
+        (tmp_path / "y.txt").write_text(y_text)
+        assert main(["ils", str(tmp_path / "H.txt"), str(tmp_path / "y.txt"), *box]) == EXIT_USAGE
+        assert_one_error_line(capsys, f"the squared norm of {name} overflows float64")
+
     def test_init_padding_past_int64_exit_code(self, tmp_path, capsys):
         top = np.iinfo(np.int64).max
         save_matrix(tmp_path / "big.txt", np.array([[top, 1, 2], [top, 3, 4], [top, 5, 7]]))

@@ -7,7 +7,6 @@ from intlowrank.linalg import (
     householder_qr,
     householder_qr_min_pivot,
     int_det,
-    pairwise_sum,
     rotate_rows,
     round_half_away,
     round_half_away_int,
@@ -40,33 +39,6 @@ class TestRounding:
             [2.0**52 - 0.5, 0.5 - 2.0**52, 2.0**53 + 2],
         ])
         assert [round_half_away_int(v) for v in x.tolist()] == [int(v) for v in round_half_away(x)]
-
-
-class TestPairwiseSum:
-    def test_matches_numpy_sum_bit_for_bit(self):
-        # Terms of mixed sign and widely spread magnitude make every
-        # summation order round differently.
-        rng = np.random.default_rng(17)
-        for n in range(1, 301):
-            v = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
-            assert pairwise_sum(v.tolist()) == float(np.sum(v)), n
-
-    def test_arrays_sum_lane_by_lane(self):
-        # The terms are rows of M; an in-place add would write into M.
-        rng = np.random.default_rng(18)
-        for n in range(1, 301):
-            M = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-8, 9, size=(n, 3))
-            before = M.copy()
-            total = pairwise_sum(list(M))
-            assert np.array_equal(M, before), n
-            for lane in range(3):
-                assert total[lane] == float(np.sum(np.ascontiguousarray(M[:, lane]))), n
-
-    def test_eight_accumulators(self):
-        # In sequence the four ones are lost against 1e17; numpy's eight
-        # accumulators add them up first.
-        v = [1.0, 1.0, 1.0, 1.0, 1e17, -1e17, 0.0, 0.0]
-        assert pairwise_sum(v) == float(np.sum(v)) == 4.0
 
 
 class TestHouseholderQR:
