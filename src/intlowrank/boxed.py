@@ -21,7 +21,13 @@ import numpy as np
 
 from .exceptions import EmptyBoxError
 from .ils import ReducedProblem, _enumerate, _project
-from .linalg import givens_coeffs, householder_qr, require_finite, round_half_away_int
+from .linalg import (
+    givens_coeffs,
+    householder_qr,
+    require_finite,
+    round_half_away,
+    round_half_away_int,
+)
 
 # A block of at least this many right-hand sides is reordered in one
 # batched pass (_reorder_block); below it numpy's fixed cost per call
@@ -239,8 +245,7 @@ def _reorder_block(factors, Y, box):
         center, norm_sq = sums
         lower, upper = B[:, 1, :kappa], B[:, 2, :kappa]
         # in_box_rounding on every entry; + 0.0 turns -0.0 into the int's 0.0.
-        rounded = np.where(center >= 0, np.floor(center + 0.5), -np.floor(0.5 - center))
-        nearest = np.minimum(np.maximum(rounded, lower), upper) + 0.0
+        nearest = np.minimum(np.maximum(round_half_away(center), lower), upper) + 0.0
         below, above = nearest - 1, nearest + 1
         d_below, d_above = np.abs(center - below), np.abs(above - center)
         tie = np.where(center >= nearest, above, below)
@@ -310,16 +315,15 @@ def compute_bound_table(R, y_hat, box):
     return BoundTable(delta=delta, gamma=np.concatenate(([0.0], np.cumsum(delta)[:-1])))
 
 
-def boxed_search(rp, box, beta0=np.inf, stats=None, trace=None):
+def boxed_search(rp, box, beta0=np.inf, stats=None):
     """Best-first enumeration over the box in reduced coordinates.
 
     The zigzag of ils.se_search (ils._enumerate), clipped to the box:
     backtracking skips levels whose interval is fully enumerated, which
     guarantees termination on every nonempty box. Returns a global
-    minimizer, or None when a finite beta0 admits no point. trace, when
-    given, receives (level, z[level:]) for every visited node.
+    minimizer, or None when a finite beta0 admits no point.
     """
-    return _enumerate(rp, box.lower.tolist(), box.upper.tolist(), beta0, stats, trace)
+    return _enumerate(rp, box.lower.tolist(), box.upper.tolist(), beta0, stats)
 
 
 def solve_ilsb(H, y, box, stats=None):

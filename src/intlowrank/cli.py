@@ -30,16 +30,11 @@ from .experiments import (
     compare_experiment,
     distribution_experiment,
     modal_band,
+    random_product_matrix,
     summarize_residuals,
     trial_seed,
 )
-from .factorize import (
-    STATUS_RANK_DEFICIENT,
-    FactorizationConfig,
-    as_int_matrix,
-    bcd_factorize,
-    residual,
-)
+from .factorize import STATUS_RANK_DEFICIENT, FactorizationConfig, bcd_factorize, residual
 from .ils import SearchStats, solve_ils
 from .matrixio import as_vector, load_matrix, save_matrix
 
@@ -147,7 +142,7 @@ def _resolve_init(choice):
         return "most_frequent"
     if choice == "random":
         return "random"
-    return as_int_matrix(_load_int_matrix(choice))
+    return _load_int_matrix(choice)
 
 
 def cmd_factorize(args):
@@ -220,7 +215,7 @@ def _check_experiment_params(n, rank, lo, hi, trials, seed):
     if rank < 1 or (n is not None and rank >= n):
         raise ValueError("--rank must satisfy 1 <= rank < n")
     if lo > hi:
-        raise ValueError(f"--box interval [{lo}, {hi}] is empty")
+        raise EmptyBoxError(f"--box interval [{lo}, {hi}] is empty")
     if lo < -(2**63) or hi >= 2**63:
         raise ValueError(f"--box interval [{lo}, {hi}] leaves the int64 range")
     if trials < 1:
@@ -229,9 +224,12 @@ def _check_experiment_params(n, rank, lo, hi, trials, seed):
         raise ValueError(f"--seed must be nonnegative, got {seed}")
 
 
-def _write_csv(path, comment_lines, header, outcomes, footer_lines):
-    """One row per outcome dataclass, its fields in the order of header."""
-    with _writing(path), open(path, "w", encoding="utf-8", newline="\n") as fh:
+def _write_csv(comment_lines, header, outcomes, footer_lines, path):
+    """Write path: one row per outcome dataclass, its fields in the order of header.
+
+    path comes last so that a partial of the rest is a writer for _write_all.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in comment_lines:
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
@@ -243,25 +241,23 @@ def _write_csv(path, comment_lines, header, outcomes, footer_lines):
 
 def cmd_experiment_distribution(args):
     lo, hi = args.box
-    a_matrix = None
-    if args.a_file:
-        a_matrix = _load_int_matrix(args.a_file)
-        n = int(min(a_matrix.shape))
+    if (args.n is None) == (args.a_file is None):
+        raise ValueError("give exactly one of --n and --a-file")
+    _check_experiment_params(args.n, args.rank, lo, hi, args.trials, args.seed)
+    if args.a_file is not None:
+        A = _load_int_matrix(args.a_file)
+        source = f"file:{args.a_file}"
     else:
-        if args.n is None:
-            raise ValueError("--n is required unless --a-file is given")
-        n = args.n
-    _check_experiment_params(n, args.rank, lo, hi, args.trials, args.seed)
+        a_seed = trial_seed(args.seed, 0)
+        A = random_product_matrix(args.n, args.n, args.rank, lo, hi, a_seed)
+        source = f"generated(seed={a_seed})"
 
     started = time.perf_counter()
-    A, outcomes = distribution_experiment(
-        args.rank, lo, hi, args.trials, args.seed, a_matrix=a_matrix, n=args.n
-    )
+    outcomes = distribution_experiment(A, args.rank, lo, hi, args.trials, args.seed)
     wall = time.perf_counter() - started
     residuals = [o.residual for o in outcomes]
     summary = summarize_residuals(residuals)
     band = modal_band(residuals)
-    source = f"file:{args.a_file}" if args.a_file else f"generated(seed={trial_seed(args.seed, 0)})"
     comments = [
         f"intlowrank distribution-experiment v{CSV_SCHEMA_VERSION}",
         f"a={source} shape={A.shape[0]}x{A.shape[1]} rank={args.rank} "
@@ -275,7 +271,8 @@ def cmd_experiment_distribution(args):
         f"average: {_fmt_num(summary['average'])}",
         f"modal_band: {band}",
     ]
-    _write_csv(args.out, comments, ("trial", "seed", "residual", "sweeps", "status"), outcomes, footer)
+    header = ("trial", "seed", "residual", "sweeps", "status")
+    _write_all([(args.out, functools.partial(_write_csv, comments, header, outcomes, footer))])
     print(
         f"wrote {args.out}: {args.trials} trials, {summary['fail']} failures, "
         f"wall_time_s={wall:.3f}"
@@ -327,7 +324,7 @@ def cmd_experiment_compare(args):
         f"average={_fmt_num(base['average'])} fail={base_fail}",
         f"percent_superior: {percent:.1f}",
     ]
-    _write_csv(args.out, comments, header, outcomes, footer)
+    _write_all([(args.out, functools.partial(_write_csv, comments, header, outcomes, footer))])
     print(f"wrote {args.out}: percent_superior={percent:.1f}, wall_time_s={wall:.3f}")
     return EXIT_OK
 
@@ -360,8 +357,8 @@ def build_parser():
 
     p = sub.add_parser("experiment-distribution",
                        help="residual distribution over random restarts (CSV)")
-    p.add_argument("--n", type=int, help="matrix size when generating A")
-    p.add_argument("--a-file", help="use this matrix instead of generating one")
+    p.add_argument("--n", type=int, help="generate an n-by-n A (excludes --a-file)")
+    p.add_argument("--a-file", help="factorize this matrix file (excludes --n)")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--box", nargs=2, type=int, metavar=("L", "U"), default=(1, 4))
     p.add_argument("--trials", type=int, required=True)

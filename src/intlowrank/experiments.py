@@ -1,7 +1,8 @@
 """Experiment harnesses behind the experiment CLI subcommands.
 
 Trials run one after another, each seeded individually from the master
-seed, so results are deterministic.
+seed, so results are deterministic. The distribution experiment takes
+its matrix from the caller; the comparison draws a fresh one per trial.
 """
 
 from dataclasses import dataclass
@@ -37,19 +38,13 @@ class TrialOutcome:
     status: str
 
 
-def distribution_experiment(rank, lo, hi, trials, seed, a_matrix=None, n=None):
+def distribution_experiment(A, rank, lo, hi, trials, seed):
     """Residual distribution of boxed factorization restarts.
 
-    One fixed data matrix (given, or generated as a random rank-`rank`
-    product when absent) is factorized `trials` times from random initial
-    factors with entries in [lo, hi]; returns (A, list of TrialOutcome).
+    The integer matrix A is factorized `trials` times from random initial
+    factors with entries in [lo, hi]; returns the list of TrialOutcome.
     A trial is init "random" with its seed, as factorize --init random runs it.
     """
-    if a_matrix is None:
-        if n is None:
-            raise ValueError("either a_matrix or n is required")
-        a_matrix = random_product_matrix(n, n, rank, lo, hi, trial_seed(seed, 0))
-    A = np.asarray(a_matrix)
 
     def one(t):
         s = trial_seed(seed, t)
@@ -59,7 +54,7 @@ def distribution_experiment(rank, lo, hi, trials, seed, a_matrix=None, n=None):
         final = None if failed else result.final_residual
         return TrialOutcome(t, s, final, result.sweeps, result.status)
 
-    return A, [one(t) for t in range(1, trials + 1)]
+    return [one(t) for t in range(1, trials + 1)]
 
 
 @dataclass

@@ -162,7 +162,7 @@ def lll_reduce(H, y):
     return rp
 
 
-def _enumerate(rp, lower, upper, beta0, stats, trace):
+def _enumerate(rp, lower, upper, beta0, stats):
     """Zigzag enumeration of min ||y_hat - R z||^2 over lower <= z <= upper.
 
     The per-level bounds lower[k], upper[k] may be -inf and inf. A node
@@ -174,7 +174,8 @@ def _enumerate(rp, lower, upper, beta0, stats, trace):
     wins when the center lies at or above the first candidate, else the
     lower one. Backtracking skips levels whose interval is exhausted.
     Returns a global minimizer, or None when a finite beta0 admits no
-    point; a coordinate outside int64 raises a ValueError. Per-level
+    point; a coordinate outside int64 raises a ValueError. stats, when
+    given, gains the visited nodes and every accepted radius. Per-level
     state lives in Python lists, as numpy scalar access would dominate.
     """
     R = rp.R
@@ -201,8 +202,6 @@ def _enumerate(rp, lower, upper, beta0, stats, trace):
             up[k] = ck >= zk
             while True:
                 nodes += 1
-                if trace is not None:
-                    trace.append((k, (zk, *z[k + 1 :].tolist())))
                 d = diag[k] * (zk - ck)
                 partial = t[k] + d * d
                 if partial < beta:
@@ -250,7 +249,7 @@ def se_search(rp, beta0=np.inf, stats=None):
     comes first when the center lies at or above the level's first
     (rounded) integer, else the lower one.
     """
-    return _enumerate(rp, [-np.inf] * rp.n, [np.inf] * rp.n, beta0, stats, None)
+    return _enumerate(rp, [-np.inf] * rp.n, [np.inf] * rp.n, beta0, stats)
 
 
 def solve_ils(H, y, stats=None):

@@ -233,9 +233,7 @@ def test_comparison_trend():
 
 def test_distribution_shape_and_replay():
     with criterion("restart distribution: qualitative shape and replay determinism"):
-        A, outcomes = distribution_experiment(
-            rank=3, lo=1, hi=4, trials=100, seed=1, a_matrix=RANDOM_TEST_A
-        )
+        outcomes = distribution_experiment(RANDOM_TEST_A, rank=3, lo=1, hi=4, trials=100, seed=1)
         residuals = [o.residual for o in outcomes]
         zero_trials = sum(1 for r in residuals if r == 0)
         failures = sum(1 for r in residuals if r is None)
@@ -248,9 +246,7 @@ def test_distribution_shape_and_replay():
             f"  restarts: {zero_trials} exact recoveries, {failures} failures, "
             f"modal band [{band_lo:.1f}, {band_hi:.1f}] holding {band_count} trials"
         )
-        _, replay = distribution_experiment(
-            rank=3, lo=1, hi=4, trials=100, seed=1, a_matrix=RANDOM_TEST_A
-        )
+        replay = distribution_experiment(RANDOM_TEST_A, rank=3, lo=1, hi=4, trials=100, seed=1)
         assert replay == outcomes
 
 

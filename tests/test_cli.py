@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 from conftest import RANK2_U, RANK2_V, TRANSACTIONS, exact_residual_sq
 
 import intlowrank
+from intlowrank import cli
 from intlowrank.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_EMPTY_BOX,
@@ -183,9 +185,28 @@ class TestInvalidInput:
     def test_experiment_params_exit_code(self, tmp_path, capsys, command, args, text):
         out = tmp_path / "x.csv"
         trials = [] if "--trials" in args else ["--trials", "1"]
-        assert main([command, *args, *trials, "--out", str(out)]) == EXIT_USAGE
+        code = EXIT_EMPTY_BOX if "--box" in args else EXIT_USAGE  # an empty box, as in ils
+        assert main([command, *args, *trials, "--out", str(out)]) == code
         assert_one_error_line(capsys, text)
         assert not out.exists()
+
+    def test_distribution_n_and_a_file_exclude_each_other(self, tmp_path, capsys):
+        save_matrix(tmp_path / "A.txt", TRANSACTIONS)
+        out = tmp_path / "x.csv"
+        rc = main(["experiment-distribution", "--a-file", str(tmp_path / "A.txt"), "--n", "50",
+                   "--rank", "1", "--trials", "1", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert_one_error_line(capsys, "give exactly one of --n and --a-file")
+        assert [p.name for p in tmp_path.iterdir()] == ["A.txt"]
+
+    def test_distribution_file_matrix_too_small_for_rank(self, tmp_path, capsys):
+        # A 1x5 matrix admits no rank; the error names the matrix, not --n.
+        save_matrix(tmp_path / "A.txt", np.array([[1, 2, 3, 4, 5]]))
+        rc = main(["experiment-distribution", "--a-file", str(tmp_path / "A.txt"),
+                   "--rank", "1", "--trials", "1", "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_USAGE
+        assert_one_error_line(capsys, "rank must satisfy 1 <= k < min(m, n) = 1")
+        assert [p.name for p in tmp_path.iterdir()] == ["A.txt"]
 
     def test_factorize_float_matrix_exit_code(self, tmp_path, capsys):
         (tmp_path / "A.txt").write_text("1 2.5 3\n4 5 6\n7 8 9\n")
@@ -223,6 +244,23 @@ class TestUnwritableOutput:
         rc = main([command, "--n", "4", *rank, "--trials", "1", "--out", str(tmp_path / "no" / "c.csv")])
         assert rc == EXIT_USAGE
         assert_one_error_line(capsys, f"cannot write {tmp_path / 'no' / 'c.csv'}")
+
+    @pytest.mark.parametrize("command", ["experiment-compare", "experiment-distribution"])
+    def test_experiment_write_failing_part_way(self, tmp_path, capsys, monkeypatch, command):
+        fmt_num, calls = cli._fmt_num, []
+
+        def disk_full_after_a_row(v):
+            calls.append(v)
+            if len(calls) > 12:  # past the footer's values and the first row
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return fmt_num(v)
+
+        monkeypatch.setattr(cli, "_fmt_num", disk_full_after_a_row)
+        out = tmp_path / "c.csv"
+        rc = main([command, "--n", "4", "--rank", "1", "--trials", "3", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert_one_error_line(capsys, f"cannot write {out}: {os.strerror(errno.ENOSPC)}")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFactorizeCommand:
