@@ -42,12 +42,20 @@ _FLOAT_EXACT = 2**53
 
 
 def _int64_bounds(values, side):
-    """values as an int64 vector; a ValueError names a bound int64 cannot hold."""
-    try:
-        return np.atleast_1d(np.asarray(values, dtype=np.int64))
-    except OverflowError:
-        big = next(v for v in np.ravel(np.array(values, dtype=object)) if not -(2**63) <= v < 2**63)
-        raise ValueError(f"box {side} bound {big} is outside the int64 range") from None
+    """values as an int64 vector; a ValueError names a bound that is not an integer.
+
+    A fractional bound is rejected, not truncated, and so is one that
+    int64 cannot hold.
+    """
+    bounds = np.atleast_1d(np.asarray(values))
+    if bounds.dtype == np.int64:
+        return bounds
+    for v in bounds.ravel().tolist():
+        if isinstance(v, float) and not v.is_integer() and not math.isinf(v):
+            raise ValueError(f"box {side} bound {v} is not an integer")
+        if not -(2**63) <= v < 2**63:
+            raise ValueError(f"box {side} bound {v} is outside the int64 range")
+    return bounds.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -169,8 +177,7 @@ def _reorder(factors, y, box):
     """
     Q1, R_factor, S = factors  # S = R^{-T}, kept in sync with R
     n = R_factor.shape[0]
-    y_vec, offset = _project(Q1, y)
-    R, S, y_hat = R_factor.tolist(), S.tolist(), y_vec.tolist()
+    R, S, y_hat = R_factor.tolist(), S.tolist(), _project(Q1, y).tolist()
     y_bar, lower, upper = y_hat[:], box.lower.tolist(), box.upper.tolist()
     cols = list(range(n))
     moved = False
@@ -207,8 +214,7 @@ def _reorder(factors, y, box):
     Z = np.zeros((n, n), dtype=np.int64)
     Z[cols, np.arange(n)] = 1
     R_out = np.array(R, order="F") if moved else R_factor
-    rp = ReducedProblem(R=R_out, Z=Z, y_hat=np.array(y_hat), offset=offset)
-    return rp, BoxConstraint(lower, upper)
+    return ReducedProblem(R=R_out, Z=Z, y_hat=np.array(y_hat)), BoxConstraint(lower, upper)
 
 
 def _reorder_block(factors, Y, box):
@@ -225,7 +231,7 @@ def _reorder_block(factors, Y, box):
     """
     Q1, R_factor, S = factors
     n = R_factor.shape[0]
-    y_hat, offset = _project(Q1, Y)
+    y_hat = _project(Q1, Y)
     p = y_hat.shape[1]
     W = np.empty((p, n, 2 * n + 2))
     W[:, :, :n], W[:, :, n : 2 * n] = R_factor, S
@@ -288,8 +294,7 @@ def _reorder_block(factors, Y, box):
         if key not in boxes:
             boxes[key] = BoxConstraint(B[j, 1], B[j, 2])
         R_out = np.array(R[j], order="F") if moved[j] else R_factor
-        rp = ReducedProblem(R=R_out, Z=Z[j], y_hat=y_hat[j], offset=float(offset[j]))
-        out.append((rp, boxes[key]))
+        out.append((ReducedProblem(R=R_out, Z=Z[j], y_hat=y_hat[j]), boxes[key]))
     return out
 
 

@@ -226,11 +226,11 @@ class FactorizationConfig:
     """Settings for one factorization run.
 
     The run starts from a k x n factor V and updates U first. init is
-    "most_frequent", "random" (drawing entries from box_v, or from the
-    range of A when there is no box), or an explicit initial V. box_u /
-    box_v are scalar intervals applied entrywise. method "ils" solves
-    every block subproblem globally; "rounded_ls" is the rounding
-    baseline.
+    "most_frequent" (clipped into box_v), "random" (drawing entries from
+    box_v, or from the range of A when there is no box), or an explicit
+    initial V, which must lie in box_v. box_u / box_v are integer
+    intervals applied entrywise. method "ils" solves every block
+    subproblem globally; "rounded_ls" is the rounding baseline.
     """
 
     rank: int
@@ -264,12 +264,14 @@ class FactorizationResult:
         return self.residual_history[-1] if self.residual_history else None
 
 
-def _initial_factor(A, config):
+def _initial_factor(A, config, box_v):
+    """The k x n starting V, inside box_v (a BoxConstraint or None)."""
     k = config.rank
     n = A.shape[1]
     if isinstance(config.init, str):
         if config.init == "most_frequent":
-            return init_most_frequent(A, k)
+            V0 = init_most_frequent(A, k)
+            return V0 if box_v is None else np.clip(V0, box_v.lower[:, None], box_v.upper[:, None])
         if config.init == "random":
             lo, hi = config.box_v if config.box_v is not None else (int(A.min()), int(A.max()))
             return init_random(k, n, lo, hi, config.seed)
@@ -277,6 +279,9 @@ def _initial_factor(A, config):
     V0 = as_int_matrix(config.init)
     if V0.shape != (k, n):
         raise ValueError(f"explicit init has shape {V0.shape}, expected {(k, n)}")
+    if box_v is not None and not box_v.contains(V0.T):  # each column of V is in the box
+        lo, hi = box_v.lower[0], box_v.upper[0]
+        raise ValueError(f"explicit init has an entry outside the box_v interval [{lo}, {hi}]")
     return V0
 
 
@@ -302,7 +307,7 @@ def bcd_factorize(A, config):
     box_v = BoxConstraint.uniform(k, *config.box_v) if config.box_v is not None else None
 
     U = None
-    V = _initial_factor(A, config)
+    V = _initial_factor(A, config, box_v)
     history = []
     nodes = []
     status = STATUS_MAX_SWEEPS

@@ -48,14 +48,14 @@ class SearchStats:
 class ReducedProblem:
     """Triangularized problem min ||y_hat - R z||^2 with x = Z z.
 
-    offset is the squared-residual mass orthogonal to the column space:
-    for every integer z, ||y - H (Z z)||^2 = ||y_hat - R z||^2 + offset.
+    ||y - H (Z z)||^2 - ||y_hat - R z||^2 is the same for every z: the
+    squared part of y outside the column space of H, which changes no
+    search decision and is not kept.
     """
 
     R: np.ndarray
     Z: np.ndarray
     y_hat: np.ndarray
-    offset: float
 
     @property
     def n(self):
@@ -63,13 +63,11 @@ class ReducedProblem:
 
     def column(self, j):
         """Problem j of a block reduction, whose y_hat is n-by-p."""
-        return ReducedProblem(
-            R=self.R, Z=self.Z, y_hat=self.y_hat[:, j], offset=float(self.offset[j])
-        )
+        return ReducedProblem(R=self.R, Z=self.Z, y_hat=self.y_hat[:, j])
 
 
 def _project(Q1, y):
-    """Q1^T y and the residual mass orthogonal to the columns of Q1.
+    """Q1^T y.
 
     An m-by-p block of right-hand sides is projected one contiguous
     column at a time: a single matrix product rounds differently in the
@@ -78,13 +76,10 @@ def _project(Q1, y):
     """
     if y.ndim == 2:
         y_hat = np.empty((Q1.shape[1], y.shape[1]))
-        offset = np.empty(y.shape[1])
         for j in range(y.shape[1]):
-            y_hat[:, j], offset[j] = _project(Q1, np.ascontiguousarray(y[:, j]))
-        return y_hat, offset
-    y_hat = Q1.T @ y
-    offset = max(float(y @ y - y_hat @ y_hat), 0.0)
-    return y_hat, offset
+            y_hat[:, j] = Q1.T @ np.ascontiguousarray(y[:, j])
+        return y_hat
+    return Q1.T @ y
 
 
 def integer_gauss_transform(R, Z, i, j):
@@ -111,8 +106,8 @@ def plll_reduce(H, y):
 
     y may also be an m-by-p block whose columns are right-hand sides.
     R and Z do not depend on y, so one reduction serves the block:
-    y_hat is then n-by-p, offset has length p, and column j equals the
-    reduction of y[:, j] alone bit for bit (see ReducedProblem.column).
+    y_hat is then n-by-p, and column j equals the reduction of y[:, j]
+    alone bit for bit (see ReducedProblem.column).
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -123,7 +118,7 @@ def plll_reduce(H, y):
     n = R.shape[0]
     Z = np.zeros((n, n), dtype=np.int64)
     Z[perm, np.arange(n)] = 1
-    y_hat, offset = _project(Q1, y)
+    y_hat = _project(Q1, y)
     k = 1
     for _ in range(_LOOP_GUARD):
         if k >= n:
@@ -145,7 +140,7 @@ def plll_reduce(H, y):
             k += 1
     else:
         raise RuntimeError("lattice reduction failed to terminate")
-    return ReducedProblem(R=R, Z=Z, y_hat=y_hat, offset=offset)
+    return ReducedProblem(R=R, Z=Z, y_hat=y_hat)
 
 
 def lll_reduce(H, y):
@@ -270,13 +265,22 @@ def solve_ils_many(H, Y, stats=None):
 
     One reduction of H serves every column; each column gets its own
     search, and every search adds its nodes to stats. Returns X, whose
-    column j is x_j. H must have full column rank.
+    column j is x_j. H must have full column rank. A ValueError reports
+    an x_j with a coordinate outside int64.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
         raise ValueError(f"Y must be an m-by-p block of right-hand sides, got shape {Y.shape}")
     rp = plll_reduce(H, Y)
-    X = np.empty((rp.n, Y.shape[1]), dtype=np.int64, order="F")
-    for j in range(X.shape[1]):
-        X[:, j] = rp.Z @ se_search(rp.column(j), stats=stats)
-    return X
+    Zs = np.empty((rp.n, Y.shape[1]), dtype=np.int64, order="F")
+    for j in range(Zs.shape[1]):
+        Zs[:, j] = se_search(rp.column(j), stats=stats)
+    # Every z fits in int64, but Z z can leave it. The int64 product is
+    # exact when max row-sum |Z| * max |z| < 2**63; otherwise it is
+    # checked once in Python ints.
+    z_max = max(-int(Zs.min(initial=0)), int(Zs.max(initial=0)))
+    if int(np.abs(rp.Z).sum(axis=1).max()) * z_max >= 2**63:
+        exact = rp.Z.astype(object) @ Zs.astype(object)
+        if not all(-(2**63) <= v < 2**63 for v in exact.flat):
+            raise ValueError("a solution coordinate is outside the int64 range")
+    return np.matmul(rp.Z, Zs, out=np.empty_like(Zs))  # column-major, as Zs is

@@ -173,10 +173,11 @@ def test_reduction_invariants():
                 assert rp.R[k - 1, k - 1] ** 2 <= (
                     rp.R[k - 1, k] ** 2 + rp.R[k, k] ** 2
                 ) * (1 + 1e-9) + 1e-9
+            outside = float(y @ y - rp.y_hat @ rp.y_hat)  # y's squared part outside range(H)
             for _ in range(20):
                 z = rng.integers(-6, 7, size=n)
                 lhs = float(np.sum((y - H @ (rp.Z @ z)) ** 2))
-                rhs = float(np.sum((rp.y_hat - rp.R @ z) ** 2) + rp.offset)
+                rhs = float(np.sum((rp.y_hat - rp.R @ z) ** 2)) + outside
                 assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
             z_l = se_search(rp)
             rp_p = plll_reduce(H.astype(float), y.astype(float))

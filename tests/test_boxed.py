@@ -53,6 +53,22 @@ class TestBoxConstraint:
                 BoxConstraint([-1, lo], [1, hi])
         assert not isinstance(info.value, EmptyBoxError)
 
+    # A fractional bound used to be truncated toward zero: [1.5, -0.7] became
+    # [1, 0], which admits x_0 = 1.
+    @pytest.mark.parametrize("lower, upper, message", [
+        ([1.5, -0.7], [3.9, 2], "box lower bound 1.5 is not an integer"),
+        ([1, 0], [3.9, 2], "box upper bound 3.9 is not an integer"),
+        ([np.nan], [2], "box lower bound nan is not an integer"),
+    ])
+    def test_fractional_bound_rejected(self, lower, upper, message):
+        with pytest.raises(ValueError, match=message):
+            BoxConstraint(lower, upper)
+
+    def test_integral_float_and_narrow_int_bounds_accepted(self):
+        box = BoxConstraint(np.array([1.0, -2.0]), np.array([3, 4], dtype=np.int32))
+        assert box.lower.dtype == box.upper.dtype == np.int64
+        assert box.lower.tolist() == [1, -2] and box.upper.tolist() == [3, 4]
+
 
 class TestInBoxRounding:
     @pytest.mark.parametrize(
@@ -102,12 +118,13 @@ def assert_boxed_reduction_contract(H, y, box, rp, permuted_box, rng, n_probe=15
     assert np.array_equal(Z.T @ box.upper, permuted_box.upper)
     assert np.allclose(rp.R, np.triu(rp.R))
     assert np.all(np.abs(np.diag(rp.R)) > 0)
+    outside = float(y @ y - rp.y_hat @ rp.y_hat)  # y's squared part outside range(H)
     for _ in range(n_probe):
         z = rng.integers(permuted_box.lower, permuted_box.upper + 1)
         x = Z @ z
         assert box.contains(x)
         lhs = float(np.sum((y - H @ x) ** 2))
-        rhs = float(np.sum((rp.y_hat - rp.R @ z) ** 2) + rp.offset)
+        rhs = float(np.sum((rp.y_hat - rp.R @ z) ** 2)) + outside
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
 
 
@@ -208,7 +225,7 @@ class TestBoxedSearch:
         from intlowrank.ils import ReducedProblem
 
         rp = ReducedProblem(
-            R=np.array([[1.0]]), Z=np.eye(1, dtype=np.int64), y_hat=np.array([100.0]), offset=0.0
+            R=np.array([[1.0]]), Z=np.eye(1, dtype=np.int64), y_hat=np.array([100.0])
         )
         box = BoxConstraint([0], [4])
         z = boxed_search(rp, box)
@@ -236,7 +253,7 @@ class TestSharedEnumeration:
             R[np.diag_indices(n)] = rng.uniform(0.2, 3.0, size=n) * rng.choice([-1, 1], size=n)
             y_hat = rng.normal(scale=5.0, size=n)
             _wide_box_matches_unbounded(
-                ReducedProblem(R=R, Z=np.eye(n, dtype=np.int64), y_hat=y_hat, offset=0.0)
+                ReducedProblem(R=R, Z=np.eye(n, dtype=np.int64), y_hat=y_hat)
             )
 
     def test_reduced_integer_problems(self):
@@ -255,7 +272,6 @@ class TestSharedEnumeration:
                 R=np.array([[4.0, 0.0, -1.0], [0.0, 4.0, -1.0], [0.0, 0.0, 1.0]]),
                 Z=np.eye(3, dtype=np.int64),
                 y_hat=np.array([0.0, 3.5, 10.5]),
-                offset=0.0,
             )
         )
 
@@ -379,7 +395,7 @@ def _array_reorder(factors, y, box):
     """The array form of boxed._reorder's reordering, kept as its oracle."""
     Q1, R, S = factors
     n = R.shape[0]
-    y_hat, offset = _project(Q1, y)
+    y_hat = _project(Q1, y)
     y_bar = y_hat.copy()
     lower, upper, cols = box.lower.copy(), box.upper.copy(), np.arange(n)
     for kappa in range(n, 1, -1):
@@ -411,7 +427,7 @@ def _array_reorder(factors, y, box):
                 rotate_rows(y_bar, p, p + 1, c, s)
     Z = np.zeros((n, n), dtype=np.int64)
     Z[cols, np.arange(n)] = 1
-    return ReducedProblem(R=R, Z=Z, y_hat=y_hat, offset=offset), BoxConstraint(lower, upper)
+    return ReducedProblem(R=R, Z=Z, y_hat=y_hat), BoxConstraint(lower, upper)
 
 
 def _assert_bits_equal(a, b):
@@ -456,7 +472,7 @@ class TestListPassOracle:
             rp, pbox = _reorder(factors, y, box)
             ref, ref_box = _array_reorder(factors, y, box)
             for got, want in (
-                (rp.Z, ref.Z), (rp.R, ref.R), (rp.y_hat, ref.y_hat), (rp.offset, ref.offset),
+                (rp.Z, ref.Z), (rp.R, ref.R), (rp.y_hat, ref.y_hat),
                 (pbox.lower, ref_box.lower), (pbox.upper, ref_box.upper),
             ):
                 _assert_bits_equal(got, want)
@@ -511,7 +527,7 @@ class TestBlockPassOracle:
             for (rp, pbox), y in zip(block, Y.T):
                 ref, ref_box = _reorder(factors, np.ascontiguousarray(y), box)
                 for got, want in (
-                    (rp.Z, ref.Z), (rp.R, ref.R), (rp.y_hat, ref.y_hat), (rp.offset, ref.offset),
+                    (rp.Z, ref.Z), (rp.R, ref.R), (rp.y_hat, ref.y_hat),
                     (pbox.lower, ref_box.lower), (pbox.upper, ref_box.upper),
                 ):
                     _assert_bits_equal(got, want)

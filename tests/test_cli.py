@@ -113,6 +113,14 @@ class TestOutOfRangeEntry:
         assert main(["ils", str(tmp_path / "H.txt"), str(tmp_path / "y.txt")]) == EXIT_USAGE
         assert_one_error_line(capsys, "a search coordinate is outside the int64 range")
 
+    # Every reduced coordinate z fits in int64, but the optimum x = Z z,
+    # about (1e19, -3e16), does not.
+    def test_solution_beyond_int64_exit_code(self, tmp_path, capsys):
+        (tmp_path / "H.txt").write_text("3 1000.4\n0 1\n0 0\n")
+        (tmp_path / "y.txt").write_text("-12000000000000000\n-30000000000000000\n0\n")
+        assert main(["ils", str(tmp_path / "H.txt"), str(tmp_path / "y.txt")]) == EXIT_USAGE
+        assert_one_error_line(capsys, "a solution coordinate is outside the int64 range")
+
     # Finite entries whose squares overflow float64; H has full column rank.
     @pytest.mark.parametrize("box", [[], ["--box", "0", "3"]])
     @pytest.mark.parametrize("h_text, y_text, name", [("1e200 0\n0 1\n1 1\n", "1\n2\n3\n", "H"),
@@ -301,6 +309,23 @@ class TestFactorizeCommand:
         assert "final_residual: 0" in out
         report = json.loads((tmp_path / "rec.report.json").read_text())
         assert report["residual_history"] == [0]
+
+    def test_most_frequent_init_stays_in_box_v(self, tmp_path, capsys):
+        save_matrix(tmp_path / "ones.txt", np.ones((3, 3), dtype=np.int64))
+        rc = main(["factorize", str(tmp_path / "ones.txt"), "--rank", "1", "--box-v", "2", "3",
+                   "--out-prefix", str(tmp_path / "o")])
+        assert rc == EXIT_OK
+        V = load_matrix(tmp_path / "o.V.txt")
+        assert ((V >= 2) & (V <= 3)).all()
+
+    def test_explicit_init_outside_box_v_exit_code(self, tmp_path, capsys):
+        save_matrix(tmp_path / "ones.txt", np.ones((3, 3), dtype=np.int64))
+        save_matrix(tmp_path / "init.txt", np.array([[7, 7, 7]]))
+        rc = main(["factorize", str(tmp_path / "ones.txt"), "--rank", "1", "--box-v", "2", "3",
+                   "--init", str(tmp_path / "init.txt"), "--out-prefix", str(tmp_path / "o")])
+        assert rc == EXIT_USAGE
+        assert_one_error_line(capsys, "explicit init has an entry outside the box_v interval [2, 3]")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["init.txt", "ones.txt"]
 
     def test_residual_mismatch_is_internal_failure(self, tmp_path, capsys, monkeypatch):
         a = tmp_path / "A.txt"

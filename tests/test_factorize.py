@@ -431,6 +431,25 @@ class TestBCDFactorize:
         with pytest.raises(ValueError, match=message):
             bcd_factorize(TRANSACTIONS, FactorizationConfig(rank=2, **change))
 
+    # The most-frequent init of a matrix of ones is V = 1 1 1, which the
+    # run used to return unchanged from the box [2, 3].
+    def test_most_frequent_init_is_clipped_into_box_v(self):
+        config = FactorizationConfig(rank=1, box_v=(2, 3))
+        result = bcd_factorize(np.ones((3, 3), dtype=np.int64), config)
+        assert ((result.V >= 2) & (result.V <= 3)).all()
+        assert result.residual_history[-1] == residual(np.ones((3, 3)), result.U, result.V)
+
+    def test_explicit_init_outside_box_v_rejected(self):
+        config = FactorizationConfig(rank=1, box_v=(2, 3), init=np.array([[7, 7, 7]]))
+        message = r"explicit init has an entry outside the box_v interval \[2, 3\]"
+        with pytest.raises(ValueError, match=message):
+            bcd_factorize(np.ones((3, 3), dtype=np.int64), config)
+
+    @pytest.mark.parametrize("box", [{"box_u": (0.5, 2.5)}, {"box_v": (0, 2.5)}])
+    def test_fractional_box_rejected(self, box):
+        with pytest.raises(ValueError, match="bound [02].5 is not an integer"):
+            bcd_factorize(TRANSACTIONS, FactorizationConfig(rank=2, **box))
+
     @pytest.mark.parametrize("box", [None, (0, 4)], ids=["unboxed", "boxed"])
     def test_half_sweep_nodes_logged(self, box):
         config = FactorizationConfig(rank=2, box_u=box, box_v=box)

@@ -34,11 +34,13 @@ def assert_reduction_contract(H, y, rp, rng, size_reduced=True, n_probe=20):
         for i in range(n):
             for j in range(i + 1, n):
                 assert abs(rp.R[i, j]) <= abs(rp.R[i, i]) / 2 + 1e-9 * abs(rp.R[i, i]) + 1e-12
-    # residual preservation on random integer points
+    # residual preservation on random integer points, up to the constant
+    # squared part of y outside the column space of H
+    outside = float(y @ y - rp.y_hat @ rp.y_hat)
     for _ in range(n_probe):
         z = rng.integers(-6, 7, size=n)
         lhs = float(np.sum((y - H @ (rp.Z @ z)) ** 2))
-        rhs = float(np.sum((rp.y_hat - rp.R @ z) ** 2) + rp.offset)
+        rhs = float(np.sum((rp.y_hat - rp.R @ z) ** 2)) + outside
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
 
 
@@ -83,7 +85,6 @@ class TestLLLReduce:
         assert np.allclose(rp.R, np.eye(3))
         assert np.array_equal(rp.Z, np.eye(3))
         assert np.allclose(rp.y_hat, y)
-        assert rp.offset == pytest.approx(0.0)
 
     def test_conditions_on_random_instances(self):
         rng = np.random.default_rng(6)
@@ -134,7 +135,7 @@ class TestSESearch:
         from intlowrank.ils import ReducedProblem
 
         rp = ReducedProblem(
-            R=np.eye(2), Z=np.eye(2, dtype=np.int64), y_hat=np.array([0.4, -0.3]), offset=0.0
+            R=np.eye(2), Z=np.eye(2, dtype=np.int64), y_hat=np.array([0.4, -0.3])
         )
         z = se_search(rp)
         assert np.array_equal(z, [0, 0])
@@ -165,7 +166,7 @@ class TestSESearch:
         from intlowrank.ils import ReducedProblem
 
         rp = ReducedProblem(
-            R=np.array([[2.0]]), Z=np.eye(1, dtype=np.int64), y_hat=np.array([7.0]), offset=0.0
+            R=np.array([[2.0]]), Z=np.eye(1, dtype=np.int64), y_hat=np.array([7.0])
         )
         stats = SearchStats()
         assert np.array_equal(se_search(rp, stats=stats), [4])  # 7/2 = 3.5 rounds away to 4
@@ -183,7 +184,6 @@ class TestSESearch:
             R=np.array([[4.0, 0.0, -1.0], [0.0, 4.0, -1.0], [0.0, 0.0, 1.0]]),
             Z=np.eye(3, dtype=np.int64),
             y_hat=np.array([0.0, 3.5, 10.5]),
-            offset=0.0,
         )
         stats = SearchStats()
         assert np.array_equal(se_search(rp, stats=stats), [3, 4, 12])
@@ -194,7 +194,7 @@ class TestSESearch:
         from intlowrank.ils import ReducedProblem
 
         rp = ReducedProblem(
-            R=np.eye(2), Z=np.eye(2, dtype=np.int64), y_hat=np.array([0.5, 0.5]), offset=0.0
+            R=np.eye(2), Z=np.eye(2, dtype=np.int64), y_hat=np.array([0.5, 0.5])
         )
         assert se_search(rp, beta0=0.1) is None
 
@@ -234,6 +234,24 @@ class TestSolveILS:
             assert exact_residual_sq(H, y, x) == oracle
             done += 1
 
+    # plll_reduce gives this H the Z [[-333, 1], [1, 0]], so x = Z z can
+    # leave int64 while every z fits.
+    BIG_Z_H = np.array([[3.0, 1000.4], [0.0, 1.0], [0.0, 0.0]])
+
+    def test_solution_beyond_int64_rejected(self):
+        # The optimum is about (1e19, -3e16); an int64 product wraps it.
+        y = np.array([-1.2e16, -3e16, 0.0])
+        with pytest.raises(ValueError, match="a solution coordinate is outside the int64 range"):
+            solve_ils(self.BIG_Z_H, y)
+
+    def test_large_solution_inside_int64_kept(self):
+        # max row-sum |Z| * max |z| passes 2**63 here, so the product is
+        # checked exactly, and it fits.
+        x_true = [-9 * 10**18, 3 * 10**16]
+        x, _ = solve_ils(self.BIG_Z_H, self.BIG_Z_H @ np.array(x_true, dtype=float))
+        assert x.dtype == np.int64
+        assert all(abs(int(v) - t) < 10**6 for v, t in zip(x, x_true))
+
 
 class TestSharedReduction:
     """One block reduction must reproduce every per-column reduction exactly."""
@@ -257,7 +275,6 @@ class TestSharedReduction:
                 assert np.array_equal(col.R, single.R)
                 assert np.array_equal(col.Z, single.Z)
                 assert np.array_equal(col.y_hat, single.y_hat)
-                assert col.offset == single.offset
             is_permutation = (block.Z >= 0).all() and np.array_equal(block.Z @ block.Z.T, np.eye(n))
             swaps_seen |= not is_permutation
         # PLLL size-reduces only around swaps, so a Z that is not a
