@@ -44,7 +44,7 @@ from .ils import (
     solve_ils,
     solve_ils_many,
 )
-from .linalg import householder_qr, householder_qr_min_pivot, int_det
+from .linalg import householder_qr, householder_qr_min_pivot
 
 __version__ = "0.1.0"
 
@@ -67,7 +67,6 @@ __all__ = [
     "in_box_rounding",
     "init_most_frequent",
     "init_random",
-    "int_det",
     "integer_gauss_transform",
     "lll_reduce",
     "mch_reduce",

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EmptyBoxError
-from .ils import ReducedProblem, _enumerate, _project
+from .ils import ReducedProblem, _check_block, _enumerate, _project
 from .linalg import (
+    as_int64,
     givens_coeffs,
     householder_qr,
     require_finite,
@@ -41,33 +42,16 @@ _BLOCK_MIN = 10
 _FLOAT_EXACT = 2**53
 
 
-def _int64_bounds(values, side):
-    """values as an int64 vector; a ValueError names a bound that is not an integer.
-
-    A fractional bound is rejected, not truncated, and so is one that
-    int64 cannot hold.
-    """
-    bounds = np.atleast_1d(np.asarray(values))
-    if bounds.dtype == np.int64:
-        return bounds
-    for v in bounds.ravel().tolist():
-        if isinstance(v, float) and not v.is_integer() and not math.isinf(v):
-            raise ValueError(f"box {side} bound {v} is not an integer")
-        if not -(2**63) <= v < 2**63:
-            raise ValueError(f"box {side} bound {v} is outside the int64 range")
-    return bounds.astype(np.int64)
-
-
 @dataclass(frozen=True)
 class BoxConstraint:
-    """Per-coordinate integer intervals lower_i <= x_i <= upper_i."""
+    """Intervals lower_i <= x_i <= upper_i, with bounds checked and cast by linalg.as_int64."""
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        lower = _int64_bounds(self.lower, "lower")
-        upper = _int64_bounds(self.upper, "upper")
+        lower = np.atleast_1d(as_int64(self.lower, "box lower bound"))
+        upper = np.atleast_1d(as_int64(self.upper, "box upper bound"))
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("bounds must be integer vectors of equal length")
         if (lower > upper).any():
@@ -83,10 +67,6 @@ class BoxConstraint:
     @property
     def n(self):
         return self.lower.shape[0]
-
-    @property
-    def sizes(self):
-        return self.upper - self.lower + 1
 
     def contains(self, x):
         x = np.asarray(x)
@@ -359,8 +339,7 @@ def solve_ilsb_many(H, Y, box, stats=None):
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2:
-        raise ValueError(f"Y must be an m-by-p block of right-hand sides, got shape {Y.shape}")
+    _check_block(H, Y)
     require_finite(Y, "y")
     _check_box(H, box)
     factors = _factor(H)

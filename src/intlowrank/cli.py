@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -119,10 +119,6 @@ def _load_int_matrix(path):
 def cmd_ils(args):
     H = _load_finite_matrix(args.h_file)
     y = as_vector(_load_finite_matrix(args.y_file), name="y")
-    if H.ndim != 2 or H.shape[0] != y.shape[0]:
-        raise MatrixParseError(
-            f"dimension mismatch: H is {H.shape}, y has length {y.shape[0]}"
-        )
     stats = SearchStats()
     if args.box is not None:
         lo, hi = args.box
@@ -224,15 +220,16 @@ def _check_experiment_params(n, rank, lo, hi, trials, seed):
         raise ValueError(f"--seed must be nonnegative, got {seed}")
 
 
-def _write_csv(comment_lines, header, outcomes, footer_lines, path):
-    """Write path: one row per outcome dataclass, its fields in the order of header.
+def _write_csv(comment_lines, outcomes, footer_lines, path):
+    """Write path: a header of the outcome dataclass's field names, then one row per outcome.
 
-    path comes last so that a partial of the rest is a writer for _write_all.
+    outcomes is a nonempty list of one dataclass. path comes last so that
+    a partial of the rest is a writer for _write_all.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in comment_lines:
             fh.write(f"# {line}\n")
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(f.name for f in fields(outcomes[0])) + "\n")
         for outcome in outcomes:
             fh.write(",".join(_fmt_num(v) for v in astuple(outcome)) + "\n")
         for line in footer_lines:
@@ -271,8 +268,7 @@ def cmd_experiment_distribution(args):
         f"average: {_fmt_num(summary['average'])}",
         f"modal_band: {band}",
     ]
-    header = ("trial", "seed", "residual", "sweeps", "status")
-    _write_all([(args.out, functools.partial(_write_csv, comments, header, outcomes, footer))])
+    _write_all([(args.out, functools.partial(_write_csv, comments, outcomes, footer))])
     print(
         f"wrote {args.out}: {args.trials} trials, {summary['fail']} failures, "
         f"wall_time_s={wall:.3f}"
@@ -288,35 +284,24 @@ def cmd_experiment_compare(args):
     started = time.perf_counter()
     outcomes = compare_experiment(args.n, rank, lo, hi, args.trials, args.seed)
     wall = time.perf_counter() - started
-    exact = summarize_residuals([o.residual_exact for o in outcomes])
+    exact = summarize_residuals([o.residual_ilsb for o in outcomes])
     base = summarize_residuals([o.residual_baseline for o in outcomes])
-    exact_fail = sum(1 for o in outcomes if o.status_exact == STATUS_RANK_DEFICIENT)
+    exact_fail = sum(1 for o in outcomes if o.status_ilsb == STATUS_RANK_DEFICIENT)
     base_fail = sum(1 for o in outcomes if o.status_baseline == STATUS_RANK_DEFICIENT)
     paired = [
-        (o.residual_exact, o.residual_baseline)
+        (o.residual_ilsb, o.residual_baseline)
         for o in outcomes
-        if o.residual_exact is not None and o.residual_baseline is not None
+        if o.residual_ilsb is not None and o.residual_baseline is not None
     ]
     superior = sum(1 for a, b in paired if a < b)
     percent = 100.0 * superior / len(paired) if paired else float("nan")
-    sweeps_avg = sum(o.sweeps_exact for o in outcomes) / len(outcomes)
+    sweeps_avg = sum(o.sweeps_ilsb for o in outcomes) / len(outcomes)
 
     comments = [
         f"intlowrank compare-experiment v{CSV_SCHEMA_VERSION}",
         f"n={args.n} rank={rank} box=[{lo},{hi}] trials={args.trials} seed={args.seed}",
         "per-trial seeds: a = seed*1000003 + 2*trial, init = seed*1000003 + 2*trial + 1",
     ]
-    header = (
-        "trial",
-        "a_seed",
-        "v0_seed",
-        "residual_ilsb",
-        "sweeps_ilsb",
-        "status_ilsb",
-        "residual_baseline",
-        "sweeps_baseline",
-        "status_baseline",
-    )
     footer = [
         f"ilsb: sweeps_avg={sweeps_avg:.2f} interval={exact['interval']} "
         f"average={_fmt_num(exact['average'])} fail={exact_fail}",
@@ -324,7 +309,7 @@ def cmd_experiment_compare(args):
         f"average={_fmt_num(base['average'])} fail={base_fail}",
         f"percent_superior: {percent:.1f}",
     ]
-    _write_all([(args.out, functools.partial(_write_csv, comments, header, outcomes, footer))])
+    _write_all([(args.out, functools.partial(_write_csv, comments, outcomes, footer))])
     print(f"wrote {args.out}: percent_superior={percent:.1f}, wall_time_s={wall:.3f}")
     return EXIT_OK
 

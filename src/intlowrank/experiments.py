@@ -59,12 +59,14 @@ def distribution_experiment(A, rank, lo, hi, trials, seed):
 
 @dataclass
 class CompareOutcome:
+    """One trial of compare_experiment; the field names are the CSV columns."""
+
     trial: int
     a_seed: int
     v0_seed: int
-    residual_exact: int | None
-    sweeps_exact: int
-    status_exact: str
+    residual_ilsb: int | None  # the exact run: boxed ILS block solves
+    sweeps_ilsb: int
+    status_ilsb: str
     residual_baseline: int | None
     sweeps_baseline: int
     status_baseline: str

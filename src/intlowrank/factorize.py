@@ -24,8 +24,8 @@ import numpy as np
 # checks every name the tracer wraps).
 from .boxed import BoxConstraint, solve_ilsb, solve_ilsb_many  # noqa: F401
 from .exceptions import NotOrthonormalError, RankDeficientError
-from .ils import SearchStats, solve_ils, solve_ils_many  # noqa: F401
-from .linalg import householder_qr, round_half_away
+from .ils import SearchStats, _project, solve_ils, solve_ils_many  # noqa: F401
+from .linalg import as_int64, householder_qr, round_half_away
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_SWEEPS = "max_sweeps"
@@ -33,14 +33,8 @@ STATUS_RANK_DEFICIENT = "rank_deficient_failure"
 
 
 def as_int_matrix(A):
-    """Validate and return a 2-D int64 copy of A."""
-    A = np.atleast_2d(np.asarray(A))
-    if not np.issubdtype(A.dtype, np.integer):
-        rounded = np.rint(A)
-        if not np.array_equal(A, rounded):
-            raise ValueError("matrix entries must be integers")
-        A = rounded
-    return A.astype(np.int64)
+    """A 2-D int64 copy of A; a ValueError names an entry that is not an integer (as_int64)."""
+    return np.atleast_2d(as_int64(A, "matrix entry"))
 
 
 def _max_abs(M):
@@ -94,9 +88,10 @@ def _rounded_real_ls_many(H, Y, box):
     """rounded_real_ls for every column of Y, from one QR of H."""
     H = np.atleast_2d(np.asarray(H, dtype=float))
     Q1, R = householder_qr(H)
-    W = np.empty((H.shape[1], Y.shape[1]), order="F")
+    Y_hat = _project(Q1, Y)
+    W = np.empty(Y_hat.shape, order="F")
     for j in range(Y.shape[1]):
-        W[:, j] = np.linalg.solve(R, Q1.T @ np.ascontiguousarray(Y[:, j]))
+        W[:, j] = np.linalg.solve(R, Y_hat[:, j])
     X = round_half_away(W).astype(np.int64, order="F")
     if box is not None:
         np.clip(X, box.lower[:, None], box.upper[:, None], out=X)
@@ -264,17 +259,16 @@ class FactorizationResult:
         return self.residual_history[-1] if self.residual_history else None
 
 
-def _initial_factor(A, config, box_v):
+def _initial_factor(A, k, config, box_v):
     """The k x n starting V, inside box_v (a BoxConstraint or None)."""
-    k = config.rank
     n = A.shape[1]
     if isinstance(config.init, str):
         if config.init == "most_frequent":
             V0 = init_most_frequent(A, k)
             return V0 if box_v is None else np.clip(V0, box_v.lower[:, None], box_v.upper[:, None])
         if config.init == "random":
-            lo, hi = config.box_v if config.box_v is not None else (int(A.min()), int(A.max()))
-            return init_random(k, n, lo, hi, config.seed)
+            lo, hi = (A.min(), A.max()) if box_v is None else (box_v.lower[0], box_v.upper[0])
+            return init_random(k, n, int(lo), int(hi), config.seed)
         raise ValueError(f"unknown init {config.init!r}")
     V0 = as_int_matrix(config.init)
     if V0.shape != (k, n):
@@ -296,25 +290,26 @@ def bcd_factorize(A, config):
     """
     A = as_int_matrix(A)
     m, n = A.shape
-    k = int(config.rank)
+    k = int(as_int64(config.rank, "rank"))
     if not 1 <= k < min(m, n):
         raise ValueError(f"rank must satisfy 1 <= k < min(m, n) = {min(m, n)}")
-    if config.max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be at least 1, got {config.max_sweeps}")
+    max_sweeps = int(as_int64(config.max_sweeps, "max_sweeps"))
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
     if config.method not in ("ils", "rounded_ls"):
         raise ValueError(f"unknown method {config.method!r}")
     box_u = BoxConstraint.uniform(k, *config.box_u) if config.box_u is not None else None
     box_v = BoxConstraint.uniform(k, *config.box_v) if config.box_v is not None else None
 
     U = None
-    V = _initial_factor(A, config, box_v)
+    V = _initial_factor(A, k, config, box_v)
     history = []
     nodes = []
     status = STATUS_MAX_SWEEPS
     # update_u and update_v return new arrays, so prev_u and prev_v keep
     # the factors as they were at the start of the sweep.
     try:
-        for sweep in range(1, config.max_sweeps + 1):
+        for sweep in range(1, max_sweeps + 1):
             prev_u, prev_v = U, V
             stats = SearchStats()
             U = update_u(A, V, box_u, method=config.method, stats=stats)

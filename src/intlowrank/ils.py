@@ -82,6 +82,14 @@ def _project(Q1, y):
     return Q1.T @ y
 
 
+def _check_block(H, Y):
+    """A ValueError unless Y is an m-by-p block of right-hand sides for the m-row H."""
+    if Y.ndim != 2:
+        raise ValueError(f"Y must be an m-by-p block of right-hand sides, got shape {Y.shape}")
+    if Y.shape[0] != H.shape[0]:
+        raise ValueError(f"H has {H.shape[0]} rows but y has {Y.shape[0]}")
+
+
 def integer_gauss_transform(R, Z, i, j):
     """Subtract round(r_ij / r_ii) times column i from column j, i < j.
 
@@ -268,9 +276,9 @@ def solve_ils_many(H, Y, stats=None):
     column j is x_j. H must have full column rank. A ValueError reports
     an x_j with a coordinate outside int64.
     """
+    H = np.atleast_2d(np.asarray(H, dtype=float))
     Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2:
-        raise ValueError(f"Y must be an m-by-p block of right-hand sides, got shape {Y.shape}")
+    _check_block(H, Y)
     rp = plll_reduce(H, Y)
     Zs = np.empty((rp.n, Y.shape[1]), dtype=np.int64, order="F")
     for j in range(Zs.shape[1]):

@@ -1,6 +1,7 @@
 """Dense linear algebra kernels shared by the reduction and factorization code.
 
-The package's one rounding rule, ties away from zero, lives here too.
+The package's one rounding rule, ties away from zero, and its one rule for
+what counts as an int64 integer live here too.
 """
 
 import math
@@ -21,6 +22,24 @@ def round_half_away(x):
 def round_half_away_int(x):
     """round_half_away of one float as a Python int, by the same IEEE operations."""
     return math.floor(x + 0.5) if x >= 0 else -math.floor(0.5 - x)
+
+
+def as_int64(values, name):
+    """values as a new int64 array; a ValueError names an entry that is not an integer.
+
+    Only ints and integral floats pass: a fractional or NaN entry, or a Fraction, is never
+    rounded or truncated, and one outside int64 (inf, 1e19, 2**63) is never wrapped.
+    """
+    arr = np.asarray(values)
+    if np.can_cast(arr.dtype, np.int64):  # every value of the dtype fits
+        return arr.astype(np.int64)
+    for v in arr.ravel().tolist():
+        fractional = not isinstance(v, float) or not (v.is_integer() or math.isinf(v))
+        if fractional and not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{name} {v} is not an integer")
+        if not -(2**63) <= v < 2**63:
+            raise ValueError(f"{name} {v} is outside the int64 range")
+    return arr.astype(np.int64)
 
 
 def require_finite(arr, name):
@@ -124,26 +143,3 @@ def rotate_rows(M, i, j, c, s):
     M[i] = ri
     M[j] = rj
 
-
-def int_det(M):
-    """Exact determinant of an integer matrix by fraction-free elimination."""
-    a = [[int(v) for v in row] for row in np.asarray(M)]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]

@@ -14,6 +14,30 @@ def exact_residual_sq(H, y, x):
     return int((d * d).sum())
 
 
+def int_det(M):
+    """Exact determinant of an integer matrix by fraction-free elimination."""
+    a = [[int(v) for v in row] for row in np.asarray(M)]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
 def random_full_rank(rng, m, n, lo=-9, hi=9, min_sigma=0.3):
     """Random integer matrix with full column rank.
 

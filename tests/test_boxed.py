@@ -3,6 +3,7 @@ import pytest
 from conftest import (
     brute_box_min,
     exact_residual_sq,
+    int_det,
     make_ilsb_instance,
     random_full_rank,
 )
@@ -22,7 +23,7 @@ from intlowrank.boxed import (
 )
 from intlowrank.exceptions import EmptyBoxError, RankDeficientError
 from intlowrank.ils import ReducedProblem, SearchStats, _project, plll_reduce, se_search
-from intlowrank.linalg import givens_coeffs, int_det, rotate_rows
+from intlowrank.linalg import givens_coeffs, rotate_rows
 
 
 class TestBoxConstraint:
@@ -34,7 +35,6 @@ class TestBoxConstraint:
         box = BoxConstraint.uniform(3, 0, 4)
         assert box.contains([0, 4, 2])
         assert not box.contains([0, 5, 2])
-        assert np.array_equal(box.sizes, [5, 5, 5])
 
     def test_membership_is_per_coordinate(self):
         box = BoxConstraint([-1, 2], [1, 2])
@@ -294,6 +294,10 @@ class TestSolveILSb:
             box = BoxConstraint.uniform(n, 0, 3)
             x, _ = solve_ilsb(H.astype(float), y.astype(float), box)
             assert exact_residual_sq(H, y, x) == 0
+
+    def test_row_count_mismatch_names_both_counts(self):
+        with pytest.raises(ValueError, match="H has 3 rows but y has 2"):
+            solve_ilsb(np.eye(3), [1, 2], BoxConstraint.uniform(3, -5, 5))
 
     def test_binding_box_changes_solution(self):
         H = np.array([[8.0, 1.0], [9.0, 2.0]])

@@ -56,10 +56,17 @@ class TestIlsCommand:
         bad.write_text("1 2\n3\n")
         assert main(["ils", str(bad), counterexample_files[1]]) == EXIT_USAGE
 
-    def test_dimension_mismatch_exit_code(self, tmp_path, counterexample_files):
+    def test_dimension_mismatch_exit_code(self, tmp_path, capsys, counterexample_files):
+        h_file, y_file = counterexample_files
         y3 = tmp_path / "y3.txt"
         save_matrix(y3, np.array([[1], [2], [3]]))
-        assert main(["ils", counterexample_files[0], str(y3)]) == EXIT_USAGE
+        assert main(["ils", h_file, str(y3)]) == EXIT_USAGE
+        assert_one_error_line(capsys, "H has 2 rows but y has 3")
+        h3 = tmp_path / "H3.txt"
+        save_matrix(h3, np.eye(3, dtype=np.int64))
+        for box in ([], ["--box", "0", "3"]):
+            assert main(["ils", str(h3), y_file, *box]) == EXIT_USAGE
+            assert_one_error_line(capsys, "H has 3 rows but y has 2")
 
     def test_rank_deficient_exit_code(self, tmp_path, counterexample_files):
         h = tmp_path / "sing.txt"

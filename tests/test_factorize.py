@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from conftest import (
@@ -55,8 +57,19 @@ class TestResidual:
     def test_rejects_fractional_entries(self):
         with pytest.raises(ValueError):
             as_int_matrix(np.array([[1.5, 2.0]]))
-        with pytest.raises(ValueError, match="entries must be integers"):
+        with pytest.raises(ValueError, match="matrix entry 0.5 is not an integer"):
             as_int_matrix(np.array([[0.5]]))
+        with pytest.raises(ValueError, match="matrix entry 1/2 is not an integer"):
+            as_int_matrix(np.array([[Fraction(1, 2)]], dtype=object))  # a cast truncates it
+
+    # A cast used to wrap 1e19 and 2**63 to -2**63, making the residual
+    # 2**126, and np.rint raised a TypeError on the Python int 2**70.
+    @pytest.mark.parametrize("a", [np.array([[1e19]]), np.array([[2**63]], dtype=np.uint64),
+                                   np.array([[2**70]], dtype=object), np.array([[np.inf]])],
+                             ids=["float-1e19", "uint64-2**63", "object-2**70", "inf"])
+    def test_rejects_entries_outside_int64(self, a):
+        with pytest.raises(ValueError, match=r"matrix entry \S+ is outside the int64 range"):
+            residual(a, [[1]], [[0]])
 
     def test_accepts_integral_floats(self):
         M = as_int_matrix(np.array([[1.0, -2.0], [0.0, 3.0]]))
@@ -466,6 +479,22 @@ class TestBCDFactorize:
                 V = update_v(TRANSACTIONS, U, cons, stats=stats)
             assert logged == stats.nodes >= 1
         assert np.array_equal(U, result.U) and np.array_equal(V, result.V)
+
+    # Both used to run on the entry wrapped to -2**63.
+    @pytest.mark.parametrize("where", ["A", "init"])
+    def test_entry_outside_int64_rejected(self, where):
+        A = np.array([[1, 2, 3], [4, 5, 6], [7, 8, 10]], dtype=float)
+        init = np.ones((1, 3))
+        (A if where == "A" else init)[0, 0] = 1e19
+        with pytest.raises(ValueError, match=r"matrix entry 1e\+19 is outside the int64 range"):
+            bcd_factorize(A, FactorizationConfig(rank=1, init=init))
+
+    # Both used to end in a TypeError from inside the init code or range().
+    @pytest.mark.parametrize("field, value", [("rank", 1.9), ("max_sweeps", 2.5)])
+    def test_fractional_count_rejected(self, field, value):
+        config = FactorizationConfig(**{"rank": 2, field: value})
+        with pytest.raises(ValueError, match=f"{field} {value} is not an integer"):
+            bcd_factorize(TRANSACTIONS, config)
 
     @pytest.mark.parametrize("max_sweeps", [0, -1])
     def test_invalid_max_sweeps_rejected(self, max_sweeps):

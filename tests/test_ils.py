@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from conftest import brute_ils_min, exact_residual_sq, make_ils_instance, random_full_rank
+from conftest import (
+    brute_ils_min,
+    exact_residual_sq,
+    int_det,
+    make_ils_instance,
+    random_full_rank,
+)
 
 from intlowrank.exceptions import RankDeficientError
 from intlowrank.ils import (
@@ -12,7 +18,6 @@ from intlowrank.ils import (
     solve_ils,
     solve_ils_many,
 )
-from intlowrank.linalg import int_det
 
 EX21_H = np.array([[8.0, 1.0], [9.0, 2.0]])
 EX21_Y = np.array([16.0, 17.0])
@@ -233,6 +238,10 @@ class TestSolveILS:
             x, _ = solve_ils(H.astype(float), y.astype(float))
             assert exact_residual_sq(H, y, x) == oracle
             done += 1
+
+    def test_row_count_mismatch_names_both_counts(self):
+        with pytest.raises(ValueError, match="H has 3 rows but y has 2"):
+            solve_ils(np.eye(3), [1, 2])
 
     # plll_reduce gives this H the Z [[-333, 1], [1, 0]], so x = Z z can
     # leave int64 while every z fits.

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from conftest import int_det
 
 from intlowrank.exceptions import RankDeficientError
 from intlowrank.linalg import (
     givens_coeffs,
     householder_qr,
     householder_qr_min_pivot,
-    int_det,
     rotate_rows,
     round_half_away,
     round_half_away_int,

@@ -6,7 +6,7 @@ rank. The settings are derandomized, so every run tests the same examples.
 """
 
 import numpy as np
-from conftest import brute_box_min, brute_ils_min, exact_residual_sq
+from conftest import brute_box_min, brute_ils_min, exact_residual_sq, int_det
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +19,6 @@ from intlowrank.boxed import (
 )
 from intlowrank.factorize import update_u, update_v
 from intlowrank.ils import solve_ils
-from intlowrank.linalg import int_det
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
