@@ -20,12 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EmptyBoxError
-from .ils import ReducedProblem, _check_block, _enumerate, _project
+from .ils import ReducedProblem, _enumerate, _project, _read_problem
 from .linalg import (
     as_int64,
     givens_coeffs,
     householder_qr,
-    require_finite,
     round_half_away,
     round_half_away_int,
 )
@@ -44,14 +43,17 @@ _FLOAT_EXACT = 2**53
 
 @dataclass(frozen=True)
 class BoxConstraint:
-    """Intervals lower_i <= x_i <= upper_i, with bounds checked and cast by linalg.as_int64."""
+    """Intervals lower_i <= x_i <= upper_i, with bounds checked and cast by linalg.as_int64.
+
+    The box keeps its own copy of the bounds, so a caller's later write cannot reach them.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        lower = np.atleast_1d(as_int64(self.lower, "box lower bound"))
-        upper = np.atleast_1d(as_int64(self.upper, "box upper bound"))
+        lower = np.array(as_int64(self.lower, "box lower bound"), ndmin=1)
+        upper = np.array(as_int64(self.upper, "box upper bound"), ndmin=1)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("bounds must be integer vectors of equal length")
         if (lower > upper).any():
@@ -136,9 +138,7 @@ def mch_reduce(H, y, box):
     constraint set is the coordinate-permuted box. The pass runs on
     Python lists, with the array form's results and R layout (_reorder).
     """
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    require_finite(y, "y")
+    H, y = _read_problem(H, y)
     _check_box(H, box)
     return _reorder(_factor(H), y, box)
 
@@ -318,8 +318,7 @@ def solve_ilsb(H, y, box, stats=None):
     H must have full column rank and the box must be nonempty
     (BoxConstraint construction enforces it).
     """
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
+    H, y = _read_problem(H, y)
     x = solve_ilsb_many(H, y[:, None], box, stats)[:, 0]
     r = y - H @ x
     return x, float(r @ r)
@@ -337,10 +336,7 @@ def solve_ilsb_many(H, Y, box, stats=None):
     Then a search per column adds its nodes to stats. Returns X, whose
     column j is x_j.
     """
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    Y = np.asarray(Y, dtype=float)
-    _check_block(H, Y)
-    require_finite(Y, "y")
+    H, Y = _read_problem(H, Y, block=True)
     _check_box(H, box)
     factors = _factor(H)
     X = np.empty((H.shape[1], Y.shape[1]), dtype=np.int64, order="F")

@@ -99,17 +99,11 @@ def compare_experiment(n, rank, lo, hi, trials, seed):
 
 
 def summarize_residuals(values):
-    """Interval, mean, and count of the non-failed residual values."""
+    """Interval and mean of the residual values that are not None."""
     ok = [v for v in values if v is not None]
-    fails = len(values) - len(ok)
     if not ok:
-        return {"count": 0, "fail": fails, "interval": None, "average": None}
-    return {
-        "count": len(ok),
-        "fail": fails,
-        "interval": (min(ok), max(ok)),
-        "average": sum(ok) / len(ok),
-    }
+        return {"interval": None, "average": None}
+    return {"interval": (min(ok), max(ok)), "average": sum(ok) / len(ok)}
 
 
 def modal_band(values):

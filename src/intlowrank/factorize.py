@@ -24,7 +24,7 @@ import numpy as np
 # checks every name the tracer wraps).
 from .boxed import BoxConstraint, solve_ilsb, solve_ilsb_many  # noqa: F401
 from .exceptions import NotOrthonormalError, RankDeficientError
-from .ils import SearchStats, _project, solve_ils, solve_ils_many  # noqa: F401
+from .ils import SearchStats, _project, _read_problem, solve_ils, solve_ils_many  # noqa: F401
 from .linalg import as_int64, householder_qr, round_half_away
 
 STATUS_CONVERGED = "converged"
@@ -33,7 +33,7 @@ STATUS_RANK_DEFICIENT = "rank_deficient_failure"
 
 
 def as_int_matrix(A):
-    """A 2-D int64 copy of A; a ValueError names an entry that is not an integer (as_int64)."""
+    """A as a 2-D int64 array; a ValueError names an entry that is not an integer (as_int64)."""
     return np.atleast_2d(as_int64(A, "matrix entry"))
 
 
@@ -80,21 +80,31 @@ def rounded_real_ls(H, y, box=None):
     The one-column case of _rounded_real_ls_many. Comparison baseline
     only: the rounded point is generally not the integer optimum.
     """
-    y = np.asarray(y, dtype=float).ravel()
+    H, y = _read_problem(H, y)
     return _rounded_real_ls_many(H, y[:, None], box)[:, 0]
 
 
 def _rounded_real_ls_many(H, Y, box):
-    """rounded_real_ls for every column of Y, from one QR of H."""
-    H = np.atleast_2d(np.asarray(H, dtype=float))
+    """rounded_real_ls for every column of Y, from one QR of H.
+
+    A rounded coordinate outside int64 lies past every box bound, so it
+    takes the bound on its side; without a box it raises a ValueError.
+    """
+    H, Y = _read_problem(H, Y, block=True)
     Q1, R = householder_qr(H)
     Y_hat = _project(Q1, Y)
     W = np.empty(Y_hat.shape, order="F")
     for j in range(Y.shape[1]):
         W[:, j] = np.linalg.solve(R, Y_hat[:, j])
-    X = round_half_away(W).astype(np.int64, order="F")
+    W = round_half_away(W)
+    inside = (W >= -(2.0**63)) & (W < 2.0**63)  # exactly the floats that cast to int64
+    if box is None and not inside.all():
+        raise ValueError("a solution coordinate is outside the int64 range")
+    X = np.where(inside, W, 0.0).astype(np.int64, order="F")
     if box is not None:
-        np.clip(X, box.lower[:, None], box.upper[:, None], out=X)
+        lower, upper = box.lower[:, None], box.upper[:, None]
+        np.clip(X, lower, upper, out=X)
+        np.copyto(X, np.where(W > 0, upper, lower), where=~inside)
     return X
 
 
@@ -140,14 +150,14 @@ def update_u(A, V, box=None, method="ils", stats=None):
     """
     A = as_int_matrix(A)
     V = as_int_matrix(V)
-    return _solve_columns(V.T.astype(float), A.T.astype(float), box, method, stats).T
+    return _solve_columns(V.T, A.T.astype(float), box, method, stats).T
 
 
 def update_v(A, U, box=None, method="ils", stats=None):
     """Column-wise mirror of update_u: solves min ||A(:,j) - U v|| per column."""
     A = as_int_matrix(A)
     U = as_int_matrix(U)
-    return _solve_columns(U.astype(float), A.astype(float), box, method, stats)
+    return _solve_columns(U, A.astype(float), box, method, stats)
 
 
 def init_most_frequent(A, k):
@@ -270,7 +280,7 @@ def _initial_factor(A, k, config, box_v):
             lo, hi = (A.min(), A.max()) if box_v is None else (box_v.lower[0], box_v.upper[0])
             return init_random(k, n, int(lo), int(hi), config.seed)
         raise ValueError(f"unknown init {config.init!r}")
-    V0 = as_int_matrix(config.init)
+    V0 = as_int_matrix(config.init).copy()  # may become the result's V
     if V0.shape != (k, n):
         raise ValueError(f"explicit init has shape {V0.shape}, expected {(k, n)}")
     if box_v is not None and not box_v.contains(V0.T):  # each column of V is in the box

@@ -82,12 +82,23 @@ def _project(Q1, y):
     return Q1.T @ y
 
 
-def _check_block(H, Y):
-    """A ValueError unless Y is an m-by-p block of right-hand sides for the m-row H."""
-    if Y.ndim != 2:
-        raise ValueError(f"Y must be an m-by-p block of right-hand sides, got shape {Y.shape}")
-    if Y.shape[0] != H.shape[0]:
-        raise ValueError(f"H has {H.shape[0]} rows but y has {Y.shape[0]}")
+def _read_problem(H, y, block=False):
+    """(H, y) of min ||y - H x||^2 as a 2-D float H and a float vector y.
+
+    With block set, y must be an m-by-p block of right-hand sides and
+    stays one. A ValueError reports a y whose row count differs from H's,
+    or whose entries or squared norm are not finite; H's QR checks H.
+    """
+    H = np.atleast_2d(np.asarray(H, dtype=float))
+    y = np.asarray(y, dtype=float)
+    if block and y.ndim != 2:
+        raise ValueError(f"Y must be an m-by-p block of right-hand sides, got shape {y.shape}")
+    if not block:
+        y = y.ravel()
+    if y.shape[0] != H.shape[0]:
+        raise ValueError(f"H has {H.shape[0]} rows but y has {y.shape[0]}")
+    require_finite(y, "y")
+    return H, y
 
 
 def integer_gauss_transform(R, Z, i, j):
@@ -117,11 +128,7 @@ def plll_reduce(H, y):
     y_hat is then n-by-p, and column j equals the reduction of y[:, j]
     alone bit for bit (see ReducedProblem.column).
     """
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 2:
-        y = y.ravel()
-    require_finite(y, "y")
+    H, y = _read_problem(H, y, block=np.ndim(y) == 2)
     Q1, R, perm = householder_qr_min_pivot(H)
     n = R.shape[0]
     Z = np.zeros((n, n), dtype=np.int64)
@@ -261,8 +268,7 @@ def solve_ils(H, y, stats=None):
     The one-column case of solve_ils_many. Returns (x, residual_sq).
     H must have full column rank.
     """
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
+    H, y = _read_problem(H, y)
     x = solve_ils_many(H, y[:, None], stats)[:, 0]
     r = y - H @ x
     return x, float(r @ r)
@@ -276,9 +282,7 @@ def solve_ils_many(H, Y, stats=None):
     column j is x_j. H must have full column rank. A ValueError reports
     an x_j with a coordinate outside int64.
     """
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    Y = np.asarray(Y, dtype=float)
-    _check_block(H, Y)
+    H, Y = _read_problem(H, Y, block=True)
     rp = plll_reduce(H, Y)
     Zs = np.empty((rp.n, Y.shape[1]), dtype=np.int64, order="F")
     for j in range(Zs.shape[1]):

@@ -25,14 +25,15 @@ def round_half_away_int(x):
 
 
 def as_int64(values, name):
-    """values as a new int64 array; a ValueError names an entry that is not an integer.
+    """values as an int64 array; a ValueError names an entry that is not an integer.
 
     Only ints and integral floats pass: a fractional or NaN entry, or a Fraction, is never
     rounded or truncated, and one outside int64 (inf, 1e19, 2**63) is never wrapped.
+    An int64 array comes back as itself, not as a copy.
     """
     arr = np.asarray(values)
     if np.can_cast(arr.dtype, np.int64):  # every value of the dtype fits
-        return arr.astype(np.int64)
+        return arr.astype(np.int64, copy=False)
     for v in arr.ravel().tolist():
         fractional = not isinstance(v, float) or not (v.is_integer() or math.isinf(v))
         if fractional and not isinstance(v, (int, np.integer)):

@@ -25,6 +25,13 @@ from intlowrank.exceptions import EmptyBoxError, RankDeficientError
 from intlowrank.ils import ReducedProblem, SearchStats, _project, plll_reduce, se_search
 from intlowrank.linalg import givens_coeffs, rotate_rows
 
+# Every entry point that reads a boxed problem (H, y), called as f(H, y, box).
+READERS = {
+    "solve_ilsb": solve_ilsb,
+    "solve_ilsb_many": lambda H, y, box: solve_ilsb_many(H, np.reshape(y, (-1, 1)), box),
+    "mch_reduce": mch_reduce,
+}
+
 
 class TestBoxConstraint:
     def test_empty_interval_rejected(self):
@@ -63,6 +70,12 @@ class TestBoxConstraint:
     def test_fractional_bound_rejected(self, lower, upper, message):
         with pytest.raises(ValueError, match=message):
             BoxConstraint(lower, upper)
+
+    def test_bounds_are_the_box_own_copy(self):
+        lower, upper = np.array([0, 1]), np.array([2, 3])
+        box = BoxConstraint(lower, upper)
+        lower[0], upper[1] = 5, -1  # would make the box empty, past its checks
+        assert box.lower.tolist() == [0, 1] and box.upper.tolist() == [2, 3]
 
     def test_integral_float_and_narrow_int_bounds_accepted(self):
         box = BoxConstraint(np.array([1.0, -2.0]), np.array([3, 4], dtype=np.int32))
@@ -295,9 +308,10 @@ class TestSolveILSb:
             x, _ = solve_ilsb(H.astype(float), y.astype(float), box)
             assert exact_residual_sq(H, y, x) == 0
 
-    def test_row_count_mismatch_names_both_counts(self):
+    @pytest.mark.parametrize("read", READERS.values(), ids=READERS.keys())
+    def test_row_count_mismatch_names_both_counts(self, read):
         with pytest.raises(ValueError, match="H has 3 rows but y has 2"):
-            solve_ilsb(np.eye(3), [1, 2], BoxConstraint.uniform(3, -5, 5))
+            read(np.eye(3), [1, 2], BoxConstraint.uniform(3, -5, 5))
 
     def test_binding_box_changes_solution(self):
         H = np.array([[8.0, 1.0], [9.0, 2.0]])
@@ -387,12 +401,13 @@ class TestFiniteEntries:
         with pytest.raises(ValueError):
             solve_ilsb(H, np.zeros(3), box)
 
-    def test_inf_target_rejected(self):
+    @pytest.mark.parametrize("read", READERS.values(), ids=READERS.keys())
+    def test_inf_target_rejected(self, read):
         box = BoxConstraint.uniform(2, 0, 3)
         H = np.eye(3)[:, :2] + 1.0
         H[2, 1] = 3.0
-        with pytest.raises(ValueError):
-            solve_ilsb(H, np.array([1.0, np.inf, 0.0]), box)
+        with pytest.raises(ValueError, match="y contains non-finite entries"):
+            read(H, np.array([1.0, np.inf, 0.0]), box)
 
 
 def _array_reorder(factors, y, box):

@@ -77,13 +77,14 @@ class TestIlsCommand:
         assert main(["ils", *counterexample_files, "--box", "3", "1"]) == EXIT_EMPTY_BOX
 
     @pytest.mark.parametrize("box", [[], ["--box", "0", "3"]])
-    @pytest.mark.parametrize("h_text, y_text", [("1 nan\n0 1\n", "1\n2\n"),
-                                                ("1 0\n0 1\n", "1\ninf\n")])
-    def test_non_finite_entry_exit_code(self, tmp_path, capsys, h_text, y_text, box):
+    @pytest.mark.parametrize("h_text, y_text, name", [("1 nan\n0 1\n", "1\n2\n", "H"),
+                                                      ("1 0\n0 1\n", "1\ninf\n", "y")],
+                             ids=["H-nan", "y-inf"])
+    def test_non_finite_entry_exit_code(self, tmp_path, capsys, h_text, y_text, name, box):
         (tmp_path / "H.txt").write_text(h_text)
         (tmp_path / "y.txt").write_text(y_text)
         assert main(["ils", str(tmp_path / "H.txt"), str(tmp_path / "y.txt"), *box]) == EXIT_USAGE
-        assert "non-finite entry" in capsys.readouterr().err
+        assert_one_error_line(capsys, f"{name} contains non-finite entries")
 
 
 def assert_one_error_line(capsys, text):
@@ -100,14 +101,23 @@ class TestOutOfRangeEntry:
         assert main([command, str(tmp_path / "A.txt"), *args]) == EXIT_USAGE
         assert_one_error_line(capsys, "line 1: integer entry outside the int64 range")
 
-    @pytest.mark.parametrize("option", ["--box", "--box-u", "--box-v"])
+    @pytest.mark.parametrize("command", [
+        ["ils", "H.txt", "y.txt", "--box"],
+        ["factorize", "H.txt", "--rank", "1", "--box-u"],
+        ["factorize", "H.txt", "--rank", "1", "--box-v"],
+        ["experiment-distribution", "--n", "4", "--rank", "1", "--trials", "1", "--out", "x.csv",
+         "--box"],
+        ["experiment-compare", "--n", "4", "--rank", "1", "--trials", "1", "--out", "x.csv",
+         "--box"],
+    ], ids=["--box", "--box-u", "--box-v", "experiment-distribution", "experiment-compare"])
     @pytest.mark.parametrize("lo, hi", [("0", BEYOND_INT64), (f"-{BEYOND_INT64}", "0")])
-    def test_box_bound_beyond_int64_exit_code(self, counterexample_files, capsys, option, lo, hi):
-        h_file, y_file = counterexample_files
-        args = ["ils", h_file, y_file] if option == "--box" else ["factorize", h_file, "--rank", "1"]
-        assert main([*args, option, lo, hi]) == EXIT_USAGE
+    def test_box_bound_beyond_int64_exit_code(self, counterexample_files, capsys, monkeypatch,
+                                              command, lo, hi):
+        monkeypatch.chdir(Path(counterexample_files[0]).parent)
+        assert main([*command, lo, hi]) == EXIT_USAGE
         bound = f"upper bound {hi}" if lo == "0" else f"lower bound {lo}"
         assert_one_error_line(capsys, f"box {bound} is outside the int64 range")
+        assert sorted(p.name for p in Path.cwd().iterdir()) == ["H.txt", "y.txt"]
 
     # The unconstrained optima lie past int64: about (1.5e19, -1.5e19), and
     # 1e310, whose center is inf in float64.
@@ -173,14 +183,6 @@ class TestInvalidInput:
         assert_one_error_line(capsys, "--seed must be nonnegative, got -1")
         assert [p.name for p in tmp_path.iterdir()] == ["A.txt"]
 
-    def test_experiment_box_beyond_int64_exit_code(self, tmp_path, capsys):
-        out = tmp_path / "x.csv"
-        rc = main(["experiment-distribution", "--n", "4", "--rank", "1", "--trials", "1",
-                   "--box", "0", BEYOND_INT64, "--out", str(out)])
-        assert rc == EXIT_USAGE
-        assert_one_error_line(capsys, f"--box interval [0, {BEYOND_INT64}] leaves the int64 range")
-        assert not out.exists()
-
     @pytest.mark.parametrize("command", ["experiment-distribution", "experiment-compare"])
     def test_experiment_product_beyond_int64_exit_code(self, tmp_path, capsys, command):
         # Each bound fits int64, but a product of two entries does not.
@@ -194,7 +196,7 @@ class TestInvalidInput:
     @pytest.mark.parametrize("command", ["experiment-distribution", "experiment-compare"])
     @pytest.mark.parametrize("args, text", [
         (["--n", "1", "--rank", "1"], "--n must be at least 2"),
-        (["--n", "4", "--rank", "1", "--box", "3", "1"], "--box interval [3, 1] is empty"),
+        (["--n", "4", "--rank", "1", "--box", "3", "1"], "empty box: empty interval at coordinate 0"),
         (["--n", "4", "--rank", "1", "--trials", "0"], "--trials must be positive"),
     ])
     def test_experiment_params_exit_code(self, tmp_path, capsys, command, args, text):

@@ -75,6 +75,10 @@ class TestResidual:
         M = as_int_matrix(np.array([[1.0, -2.0], [0.0, 3.0]]))
         assert M.dtype == np.int64 and np.array_equal(M, [[1, -2], [0, 3]])
 
+    def test_int64_matrix_is_not_copied(self):
+        A = np.array([[1, -2], [0, 3]], dtype=np.int64)
+        assert as_int_matrix(A) is A
+
     @pytest.mark.parametrize("a", [3_037_000_499, 3_037_000_500, -3_037_000_500])
     def test_exact_at_the_int64_bound(self, a):
         # a**2 < 2**63 for the first value only: int64 on one side of the
@@ -373,6 +377,34 @@ class TestRoundedRealLS:
         x = rounded_real_ls(H, y, BoxConstraint.uniform(2, 0, 3))
         assert np.array_equal(x, [2, 0])
 
+    # A rounded coordinate past int64 used to wrap to -2**63 before the
+    # clamp. 2**63 - 1 has no float64; its nearest one, 2**63, does not cast.
+    @pytest.mark.parametrize("y0, lo, hi, expected", [
+        (1e19, 0, 3, 3),
+        (-1e150, -7, 3, -7),
+        (1e19, 0, 2**63 - 1, 2**63 - 1),
+        (2.0**53 + 2, 0, 2**53 + 1, 2**53 + 1),
+        (2.0**62, 0, 2**63 - 1, 2**62),
+    ])
+    def test_clamps_beyond_int64_to_box(self, y0, lo, hi, expected):
+        x = rounded_real_ls(np.eye(2), [y0, 1.0], BoxConstraint.uniform(2, lo, hi))
+        assert x.dtype == np.int64 and x.tolist() == [expected, 1]
+
+    # Without a box a coordinate past int64 used to come back as -2**63.
+    @pytest.mark.parametrize("y0, message", [
+        (1e19, "a solution coordinate is outside the int64 range"),
+        (-1e150, "a solution coordinate is outside the int64 range"),
+        (2.0**63, "a solution coordinate is outside the int64 range"),
+        (1e300, "the squared norm of y overflows float64"),
+    ])
+    def test_unboxed_beyond_int64_rejected(self, y0, message):
+        with pytest.raises(ValueError, match=message):
+            rounded_real_ls(np.eye(2), [y0, 1.0])
+
+    def test_unboxed_int64_extremes_kept(self):
+        x = rounded_real_ls(np.eye(2), [-(2.0**63), 2.0**63 - 1024])
+        assert x.tolist() == [-(2**63), 2**63 - 1024]
+
 
 class TestBCDFactorize:
     def test_recovery_from_true_factor(self):
@@ -381,6 +413,7 @@ class TestBCDFactorize:
         assert result.residual_history[0] == 0
         assert result.status == STATUS_CONVERGED
         assert np.array_equal(result.U, RANK2_U)
+        assert not np.shares_memory(result.V, RANK2_V)  # equal, but the result's own
 
     def test_worked_boxed_run(self):
         config = FactorizationConfig(

@@ -9,6 +9,7 @@ from conftest import (
 )
 
 from intlowrank.exceptions import RankDeficientError
+from intlowrank.factorize import rounded_real_ls
 from intlowrank.ils import (
     SearchStats,
     integer_gauss_transform,
@@ -21,6 +22,15 @@ from intlowrank.ils import (
 
 EX21_H = np.array([[8.0, 1.0], [9.0, 2.0]])
 EX21_Y = np.array([16.0, 17.0])
+
+# Every entry point that reads an unconstrained problem (H, y), called as f(H, y).
+READERS = {
+    "solve_ils": solve_ils,
+    "solve_ils_many": lambda H, y: solve_ils_many(H, np.reshape(y, (-1, 1))),
+    "plll_reduce": plll_reduce,
+    "lll_reduce": lll_reduce,
+    "rounded_real_ls": rounded_real_ls,
+}
 
 
 def assert_reduction_contract(H, y, rp, rng, size_reduced=True, n_probe=20):
@@ -239,9 +249,10 @@ class TestSolveILS:
             assert exact_residual_sq(H, y, x) == oracle
             done += 1
 
-    def test_row_count_mismatch_names_both_counts(self):
+    @pytest.mark.parametrize("read", READERS.values(), ids=READERS.keys())
+    def test_row_count_mismatch_names_both_counts(self, read):
         with pytest.raises(ValueError, match="H has 3 rows but y has 2"):
-            solve_ils(np.eye(3), [1, 2])
+            read(np.eye(3), [1, 2])
 
     # plll_reduce gives this H the Z [[-333, 1], [1, 0]], so x = Z z can
     # leave int64 while every z fits.
@@ -327,6 +338,7 @@ class TestFiniteEntries:
         with pytest.raises(ValueError):
             solve_ils(np.array([[1.0, np.nan], [0.0, 1.0]]), np.zeros(2))
 
-    def test_inf_target_rejected(self):
-        with pytest.raises(ValueError):
-            solve_ils(np.eye(2), np.array([np.inf, 0.0]))
+    @pytest.mark.parametrize("read", READERS.values(), ids=READERS.keys())
+    def test_inf_target_rejected(self, read):
+        with pytest.raises(ValueError, match="y contains non-finite entries"):
+            read(np.eye(2), np.array([np.inf, 0.0]))
