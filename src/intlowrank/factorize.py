@@ -157,7 +157,7 @@ def update_v(A, U, box=None, method="ils", stats=None):
     """Column-wise mirror of update_u: solves min ||A(:,j) - U v|| per column."""
     A = as_int_matrix(A)
     U = as_int_matrix(U)
-    return _solve_columns(U, A.astype(float), box, method, stats)
+    return _solve_columns(U, A.astype(float, order="F"), box, method, stats)
 
 
 def init_most_frequent(A, k):

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    as_int64,
     givens_coeffs,
     householder_qr_min_pivot,
     require_finite,
@@ -127,35 +128,54 @@ def plll_reduce(H, y):
     R and Z do not depend on y, so one reduction serves the block:
     y_hat is then n-by-p, and column j equals the reduction of y[:, j]
     alone bit for bit (see ReducedProblem.column).
+
+    The loop runs on Python lists, R as rows of floats and Z as columns of
+    ints, since numpy's cost per call would dominate it. Each float is the
+    array form's: the same IEEE operation on the same operands in the same
+    order (integer_gauss_transform's column update, full-row swaps and
+    rotate_rows' elementwise rotation with givens_coeffs' coefficients),
+    and R comes back C-ordered, as the search's BLAS row products depend on
+    the layout. y_hat stays an array, so a block takes one rotation per
+    swap. Z's entries do not wrap: one outside int64 raises a ValueError.
     """
     H, y = _read_problem(H, y, block=np.ndim(y) == 2)
-    Q1, R, perm = householder_qr_min_pivot(H)
-    n = R.shape[0]
-    Z = np.zeros((n, n), dtype=np.int64)
-    Z[perm, np.arange(n)] = 1
+    Q1, R_qr, perm = householder_qr_min_pivot(H)
+    n = R_qr.shape[0]
+    R = R_qr.tolist()
+    Z = [[0] * n for _ in range(n)]
+    for j, i in enumerate(perm.tolist()):
+        Z[j][i] = 1
     y_hat = _project(Q1, y)
     k = 1
     for _ in range(_LOOP_GUARD):
         if k >= n:
             break
-        zeta = round_half_away_int(R[k - 1, k] / R[k - 1, k - 1])
-        alpha = R[k - 1, k] - zeta * R[k - 1, k - 1]
-        if R[k - 1, k - 1] ** 2 > (alpha**2 + R[k, k] ** 2) * (1.0 + _SWAP_MARGIN):
-            for i in range(k - 1, -1, -1):
-                integer_gauss_transform(R, Z, i, k)
+        zeta = round_half_away_int(R[k - 1][k] / R[k - 1][k - 1])
+        alpha = R[k - 1][k] - zeta * R[k - 1][k - 1]
+        if R[k - 1][k - 1] ** 2 > (alpha**2 + R[k][k] ** 2) * (1.0 + _SWAP_MARGIN):
+            for i in range(k - 1, -1, -1):  # integer_gauss_transform(R, Z, i, k)
+                zeta = round_half_away_int(R[i][k] / R[i][i])
+                if zeta != 0:
+                    for row in R[: i + 1]:
+                        row[k] -= zeta * row[i]
+                    Z[k] = [u - zeta * v for u, v in zip(Z[k], Z[i])]
             # Swap columns k-1, k and restore triangularity with one rotation.
-            R[:, [k - 1, k]] = R[:, [k, k - 1]]
-            Z[:, [k - 1, k]] = Z[:, [k, k - 1]]
-            c, s = givens_coeffs(R[k - 1, k - 1], R[k, k - 1])
-            rotate_rows(R, k - 1, k, c, s)
-            R[k, k - 1] = 0.0
+            for row in R:
+                row[k - 1], row[k] = row[k], row[k - 1]
+            Z[k - 1], Z[k] = Z[k], Z[k - 1]
+            c, s = givens_coeffs(R[k - 1][k - 1], R[k][k - 1])
+            a, b = R[k - 1], R[k]
+            R[k - 1] = [c * u + s * v for u, v in zip(a, b)]
+            R[k] = [-s * u + c * v for u, v in zip(a, b)]
+            R[k][k - 1] = 0.0
             rotate_rows(y_hat, k - 1, k, c, s)
             k = max(k - 1, 1)
         else:
             k += 1
     else:
         raise RuntimeError("lattice reduction failed to terminate")
-    return ReducedProblem(R=R, Z=Z, y_hat=y_hat)
+    Z = as_int64(list(zip(*Z)), "unimodular transform entry").reshape(n, n)
+    return ReducedProblem(R=np.array(R).reshape(n, n), Z=Z, y_hat=y_hat)
 
 
 def lll_reduce(H, y):
@@ -187,6 +207,10 @@ def _enumerate(rp, lower, upper, beta0, stats):
     point; a coordinate outside int64 raises a ValueError. stats, when
     given, gains the visited nodes and every accepted radius. Per-level
     state lives in Python lists, as numpy scalar access would dominate.
+    The fixed coordinates are kept twice: exactly as ints, for the answer,
+    and as float64 for the center's product with a row of R. That product
+    is a BLAS dot of float64 vectors, as numpy's own cast of an int64 z
+    would make it, so every center keeps its bits.
     """
     R = rp.R
     n = rp.n
@@ -200,12 +224,13 @@ def _enumerate(rp, lower, upper, beta0, stats):
     lo_f = [0] * n
     hi_f = [0] * n
     up = [False] * n
-    z = np.zeros(n, dtype=np.int64)  # levels above the current one, for the dot product
+    z = [0] * n  # levels above the current one
+    z_float = np.zeros(n)
     k = n - 1
     try:
         while True:
             # Enter level k at the in-box integer nearest its center.
-            ck = (y_hat[k] - float(R[k, k + 1 :] @ z[k + 1 :])) / diag[k]
+            ck = (y_hat[k] - float(R[k, k + 1 :] @ z_float[k + 1 :])) / diag[k]
             zk = min(max(round_half_away_int(ck), lower[k]), upper[k])
             c[k] = ck
             lo_f[k] = hi_f[k] = zk
@@ -215,13 +240,15 @@ def _enumerate(rp, lower, upper, beta0, stats):
                 d = diag[k] * (zk - ck)
                 partial = t[k] + d * d
                 if partial < beta:
-                    z[k] = zk
+                    if not -(2**63) <= zk < 2**63:
+                        raise OverflowError  # z must fit in int64
+                    z[k] = z_float[k] = zk
                     if k > 0:
                         t[k - 1] = partial
                         k -= 1
                         break
                     beta = partial
-                    best = z.copy()
+                    best = z[:]
                     if stats is not None:
                         stats.betas.append(beta)
                 # Backtrack to the nearest level with an untried in-box integer.
@@ -243,8 +270,8 @@ def _enumerate(rp, lower, upper, beta0, stats):
                 else:
                     if stats is not None:
                         stats.nodes += nodes
-                    return best
-    except OverflowError:  # z is int64, and a center can lie beyond it
+                    return None if best is None else np.array(best, dtype=np.int64)
+    except OverflowError:  # a coordinate outside int64, or an infinite center
         raise ValueError("a search coordinate is outside the int64 range") from None
 
 

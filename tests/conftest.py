@@ -1,11 +1,28 @@
 """Shared test helpers: instance generators and brute-force oracles.
 
-The oracles here are independent of the package's reduction and search
-code: they enumerate integer boxes certified (by least-squares geometry)
-to contain every optimum, and they compare exact integer residuals.
+The brute-force oracles are independent of the package's reduction and
+search code: they enumerate integer boxes certified (by least-squares
+geometry) to contain every optimum, and they compare exact integer
+residuals. array_plll_reduce is the reduction's array form, the
+reference that the package's list form must match bit for bit.
 """
 
 import numpy as np
+
+from intlowrank.ils import (
+    _LOOP_GUARD,
+    _SWAP_MARGIN,
+    ReducedProblem,
+    _project,
+    _read_problem,
+    integer_gauss_transform,
+)
+from intlowrank.linalg import (
+    givens_coeffs,
+    householder_qr_min_pivot,
+    rotate_rows,
+    round_half_away_int,
+)
 
 
 def exact_residual_sq(H, y, x):
@@ -36,6 +53,44 @@ def int_det(M):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[-1][-1]
+
+
+def array_plll_reduce(H, y):
+    """ils.plll_reduce on numpy arrays: R and Z updated in place, column by column."""
+    H, y = _read_problem(H, y, block=np.ndim(y) == 2)
+    Q1, R, perm = householder_qr_min_pivot(H)
+    n = R.shape[0]
+    Z = np.zeros((n, n), dtype=np.int64)
+    Z[perm, np.arange(n)] = 1
+    y_hat = _project(Q1, y)
+    k = 1
+    for _ in range(_LOOP_GUARD):
+        if k >= n:
+            break
+        zeta = round_half_away_int(R[k - 1, k] / R[k - 1, k - 1])
+        alpha = R[k - 1, k] - zeta * R[k - 1, k - 1]
+        if R[k - 1, k - 1] ** 2 > (alpha**2 + R[k, k] ** 2) * (1.0 + _SWAP_MARGIN):
+            for i in range(k - 1, -1, -1):
+                integer_gauss_transform(R, Z, i, k)
+            R[:, [k - 1, k]] = R[:, [k, k - 1]]
+            Z[:, [k - 1, k]] = Z[:, [k, k - 1]]
+            c, s = givens_coeffs(R[k - 1, k - 1], R[k, k - 1])
+            rotate_rows(R, k - 1, k, c, s)
+            R[k, k - 1] = 0.0
+            rotate_rows(y_hat, k - 1, k, c, s)
+            k = max(k - 1, 1)
+        else:
+            k += 1
+    else:
+        raise RuntimeError("lattice reduction failed to terminate")
+    return ReducedProblem(R=R, Z=Z, y_hat=y_hat)
+
+
+def assert_bits_equal(a, b):
+    """Equal dtype, shape and bits: floats must match in every bit, signed zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
 
 
 def random_full_rank(rng, m, n, lo=-9, hi=9, min_sigma=0.3):

@@ -36,7 +36,6 @@ from intlowrank.boxed import BoxConstraint, solve_ilsb
 from intlowrank.experiments import compare_experiment, distribution_experiment, modal_band
 from intlowrank.factorize import (
     STATUS_CONVERGED,
-    STATUS_RANK_DEFICIENT,
     FactorizationConfig,
     bcd_factorize,
     init_most_frequent,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import (
+    assert_bits_equal,
     brute_box_min,
     exact_residual_sq,
     int_det,
@@ -324,6 +325,13 @@ class TestSolveILSb:
         assert exact_residual_sq(H.astype(int), y.astype(int), x) == oracle
 
 
+    def test_exact_answer_beyond_float64_integers(self):
+        # The center 2**62 clamps to 2**60 + 1, which float64 rounds to 2**60.
+        x, _ = solve_ilsb([[1.0], [0.0]], [2.0**62, 0.0], BoxConstraint([0], [2**60 + 1]))
+        assert x.dtype == np.int64
+        assert int(x[0]) == 2**60 + 1
+
+
 class TestSharedFactorization:
     """The block solver must reproduce every one-column solve exactly."""
 
@@ -449,12 +457,6 @@ def _array_reorder(factors, y, box):
     return ReducedProblem(R=R, Z=Z, y_hat=y_hat), BoxConstraint(lower, upper)
 
 
-def _assert_bits_equal(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    assert a.dtype == b.dtype and a.shape == b.shape
-    assert a.tobytes() == b.tobytes()  # equal values and signed zeros
-
-
 class TestListPassOracle:
     """The list pass of _reorder reproduces the array form bit for bit."""
 
@@ -494,7 +496,7 @@ class TestListPassOracle:
                 (rp.Z, ref.Z), (rp.R, ref.R), (rp.y_hat, ref.y_hat),
                 (pbox.lower, ref_box.lower), (pbox.upper, ref_box.upper),
             ):
-                _assert_bits_equal(got, want)
+                assert_bits_equal(got, want)
             # The search's BLAS row products depend on R's memory layout.
             assert rp.R.flags.f_contiguous == ref.R.flags.f_contiguous
             assert rp.R.flags.c_contiguous == ref.R.flags.c_contiguous
@@ -549,7 +551,7 @@ class TestBlockPassOracle:
                     (rp.Z, ref.Z), (rp.R, ref.R), (rp.y_hat, ref.y_hat),
                     (pbox.lower, ref_box.lower), (pbox.upper, ref_box.upper),
                 ):
-                    _assert_bits_equal(got, want)
+                    assert_bits_equal(got, want)
                 # The search's BLAS row products depend on R's memory layout.
                 assert rp.R.flags.f_contiguous == ref.R.flags.f_contiguous
                 assert rp.R.flags.c_contiguous == ref.R.flags.c_contiguous

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import (
+    array_plll_reduce,
+    assert_bits_equal,
     brute_ils_min,
     exact_residual_sq,
     int_det,
@@ -10,6 +12,7 @@ from conftest import (
 
 from intlowrank.exceptions import RankDeficientError
 from intlowrank.factorize import rounded_real_ls
+from intlowrank.boxed import BoxConstraint, boxed_search, mch_reduce
 from intlowrank.ils import (
     SearchStats,
     integer_gauss_transform,
@@ -139,6 +142,21 @@ class TestPLLLReduce:
             assert r_lll == r_plll
 
 
+    def test_transform_beyond_int64_rejected(self):
+        # A full-rank H whose reduction needs a Z entry of 10**24; an int64
+        # column operation wraps it silently.
+        H = np.array([
+            [0, 1000, 0, 0, -(10**9)],
+            [-(10**6), 0, 0, 0, 10],
+            [1, 0, 0, -(10**6), 0],
+            [0, 0, -(10**8), 10, 0],
+            [0, 0, 100, 0, 0],
+        ])
+        for solve in (plll_reduce, solve_ils):
+            with pytest.raises(ValueError, match="entry 10{24} is outside the int64 range"):
+                solve(H, np.ones(5))
+
+
 def _pipeline_residual(reduce_fn, H, y):
     rp = reduce_fn(H.astype(float), y.astype(float))
     z = se_search(rp)
@@ -264,6 +282,15 @@ class TestSolveILS:
         with pytest.raises(ValueError, match="a solution coordinate is outside the int64 range"):
             solve_ils(self.BIG_Z_H, y)
 
+    # The unconstrained optima lie past int64: about (1.5e19, -1.5e19), and
+    # 1e310, whose center is inf in float64.
+    @pytest.mark.parametrize("H, y", [([[1, 0], [0, 1], [1, 1]], [3e19, 2, 3]),
+                                      ([[1e-300], [0]], [1e10, 0])],
+                             ids=["3e19", "inf-center"])
+    def test_search_coordinate_beyond_int64_rejected(self, H, y):
+        with pytest.raises(ValueError, match="a search coordinate is outside the int64 range"):
+            solve_ils(H, y)
+
     def test_large_solution_inside_int64_kept(self):
         # max row-sum |Z| * max |z| passes 2**63 here, so the product is
         # checked exactly, and it fits.
@@ -342,3 +369,87 @@ class TestFiniteEntries:
     def test_inf_target_rejected(self, read):
         with pytest.raises(ValueError, match="y contains non-finite entries"):
             read(np.eye(2), np.array([np.inf, 0.0]))
+
+
+def _ils_search_problem(seed):
+    """A problem shaped as the benchmark's ils-search: square integer H of dimension 22..27."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(22, 28))
+    H = np.rint(rng.standard_normal((n, n)) * 16.0).astype(np.int64)
+    y = H @ rng.integers(-8, 9, size=n) + np.rint(rng.standard_normal(n) * 16.0).astype(np.int64)
+    return H, y
+
+
+class TestPLLLListOracle:
+    """plll_reduce on lists reproduces the array form bit for bit."""
+
+    def _problems(self):
+        """Seeded (H, y) in three families; y is an m-by-p block in the second."""
+        rng = np.random.default_rng(64)
+        for seed in range(12):
+            yield _ils_search_problem(1000 + seed)
+        for _ in range(8):  # a V half-sweep of a 200x200 rank-3 factorization
+            U = rng.integers(1, 5, size=(200, 3))
+            yield U, U @ rng.integers(1, 5, size=(3, 200)) + rng.integers(-2, 3, size=(200, 200))
+        for exponent in range(-3, 4):  # small real H over six orders of magnitude
+            for _ in range(6):
+                n = int(rng.integers(2, 7))
+                m = n + int(rng.integers(0, 4))
+                H = rng.standard_normal((m, n)) * 10.0**exponent
+                yield H, rng.standard_normal(m) * 10.0**exponent
+
+    def test_matches_array_form(self):
+        swapped = 0
+        for H, y in self._problems():
+            try:
+                rp = plll_reduce(H, y)
+            except RankDeficientError:
+                continue
+            ref = array_plll_reduce(H, y)
+            for got, want in ((rp.R, ref.R), (rp.y_hat, ref.y_hat), (rp.Z, ref.Z)):
+                assert_bits_equal(got, want)
+            # The search's BLAS row products depend on R's memory layout.
+            assert rp.R.flags.c_contiguous
+            swapped += not (np.abs(rp.Z).sum(axis=0) == 1).all()
+        assert swapped > 30  # most problems take size-reducing swaps
+
+
+class TestSearchBits:
+    """The search's answer, nodes and every accepted radius, recorded before its list-state rewrite.
+
+    Unboxed problems search PLLL's C-ordered R; the boxed ones were chosen
+    so that the reordering moves a column, which leaves R F-ordered.
+    """
+
+    @pytest.mark.parametrize("seed, boxed, z, nodes, betas", [
+        (3, False, [11, 1, 5, -11, -7, 3, -2, 2, 2, -1, 11, 1, -2, 12, 7, -3, 2, 1, 5, -3, -3, 12,
+                    4, 6, 6, -7], 2937,
+         ["0x1.a8fffffffffeep+12", "0x1.82ffffffffff2p+12", "0x1.7e2ffffffffdep+12",
+          "0x1.61b0000000007p+12", "0x1.5a7ffffffffcbp+12", "0x1.0f90000000017p+12"]),
+        (11, False, [16, 9, -6, -40, -14, -21, -2, 4, -8, -6, 16, -14, -4, -10, -7, 9, 1, -2, -8,
+                     7, 5, -1], 1029,
+         ["0x1.c65ffffffffe2p+11", "0x1.c05ffffffffb9p+11", "0x1.72a000000001cp+11"]),
+        (11, True, [2, -3, -7, -6, -7, 0, -3, 2, 3, 1, 6, -3, -6, 8, 7, 5, -8, 5, -4, 5, 2, -6],
+         2633,
+         ["0x1.344ffffffffd7p+12", "0x1.1c6000000001ap+12", "0x1.de8000000001ep+11",
+          "0x1.72a0000000014p+11"]),
+        (9, True, [-1, -7, 6, 7, 6, 8, -6, -6, -6, -4, 5, -7, -3, 3, 8, -1, -5, -8, -7, -8, 7, 3,
+                   -2, -5], 10677,
+         ["0x1.f1efffffffff2p+12", "0x1.edf000000001ap+12", "0x1.7cefffffffff7p+12",
+          "0x1.738ffffffffcdp+12", "0x1.718ffffffffebp+12", "0x1.6c7ffffffffdcp+12",
+          "0x1.37dffffffffe5p+12"]),
+    ], ids=["unboxed-3", "unboxed-11", "boxed-11", "boxed-9"])
+    def test_pinned(self, seed, boxed, z, nodes, betas):
+        H, y = _ils_search_problem(seed)
+        stats = SearchStats()
+        if boxed:
+            rp, box = mch_reduce(H, y, BoxConstraint.uniform(H.shape[1], -8, 8))
+            assert rp.R.flags.f_contiguous and not rp.R.flags.c_contiguous
+            got = boxed_search(rp, box, stats=stats)
+        else:
+            rp = plll_reduce(H, y)
+            assert rp.R.flags.c_contiguous
+            got = se_search(rp, stats=stats)
+        assert got.dtype == np.int64 and got.tolist() == z
+        assert stats.nodes == nodes
+        assert [b.hex() for b in stats.betas] == betas
