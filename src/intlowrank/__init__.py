@@ -14,7 +14,6 @@ from .boxed import (
     in_box_rounding,
     mch_reduce,
     solve_ilsb,
-    solve_ilsb_many,
 )
 from .exceptions import (
     EmptyBoxError,
@@ -42,7 +41,6 @@ from .ils import (
     plll_reduce,
     se_search,
     solve_ils,
-    solve_ils_many,
 )
 from .linalg import householder_qr, householder_qr_min_pivot
 
@@ -76,9 +74,7 @@ __all__ = [
     "rounded_real_ls",
     "se_search",
     "solve_ils",
-    "solve_ils_many",
     "solve_ilsb",
-    "solve_ilsb_many",
     "update_u",
     "update_v",
 ]

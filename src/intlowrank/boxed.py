@@ -7,11 +7,12 @@ ranks columns by how costly their second-best in-box choice is. The
 search is the zigzag shared with ils.se_search, given the permuted box
 bounds; it prunes by its radius alone.
 
-The order depends on the right-hand side, so a block of them shares only
-the QR of H. A wide block is reordered in one batched numpy pass
-(_reorder_block) and a narrow one per column on Python lists (_reorder),
-because numpy's fixed cost per call outweighs the batching for a few
-columns. Both give every column the same result, bit for bit.
+The order depends on the right-hand side, so a block of them (solve_ilsb
+takes a vector y or an m-by-p block) shares only the QR of H. A wide
+block is reordered in one batched numpy pass (_reorder_block) and a
+narrow one per column on Python lists (_reorder), because numpy's fixed
+cost per call outweighs the batching for a few columns. Both give every
+column the same result, bit for bit.
 """
 
 import math
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EmptyBoxError
-from .ils import ReducedProblem, _enumerate, _project, _read_problem
+from .ils import ReducedProblem, _enumerate, _project, _read_problem, _with_residuals
 from .linalg import (
     as_int64,
     givens_coeffs,
@@ -138,7 +139,7 @@ def mch_reduce(H, y, box):
     constraint set is the coordinate-permuted box. The pass runs on
     Python lists, with the array form's results and R layout (_reorder).
     """
-    H, y = _read_problem(H, y)
+    H, y = _read_problem(H, np.ravel(y))
     _check_box(H, box)
     return _reorder(_factor(H), y, box)
 
@@ -314,37 +315,26 @@ def boxed_search(rp, box, beta0=np.inf, stats=None):
 def solve_ilsb(H, y, box, stats=None):
     """Globally minimize ||y - H x||_2^2 over integer x inside the box.
 
-    The one-column case of solve_ilsb_many. Returns (x, residual_sq).
-    H must have full column rank and the box must be nonempty
-    (BoxConstraint construction enforces it).
+    y is a vector or an m-by-p block of right-hand sides. The column order
+    of the reduction depends on each one, so only the QR of H and R^{-T}
+    are shared. Each column is reordered as mch_reduce would: a block of at
+    least _BLOCK_MIN columns in one batched pass, a narrower one (or a box
+    with a bound float64 cannot hold exactly) one column at a time, as
+    numpy's cost per call outweighs the batching there; the results are the
+    same bit for bit. Then a search per column adds its nodes to stats.
+    Returns (x, residual_sq), or (X, residuals_sq) with x_j in column j for
+    a block. H must have full column rank and the box must be nonempty.
     """
     H, y = _read_problem(H, y)
-    x = solve_ilsb_many(H, y[:, None], box, stats)[:, 0]
-    r = y - H @ x
-    return x, float(r @ r)
-
-
-def solve_ilsb_many(H, Y, box, stats=None):
-    """Globally minimize ||Y[:, j] - H x_j||_2^2 inside the box, for every column j.
-
-    The column order of the reduction depends on each right-hand side,
-    so only the QR of H and R^{-T} are shared. Each column is reordered
-    as mch_reduce would: a block of at least _BLOCK_MIN columns in one
-    batched pass, a narrower one (or a box with a bound float64 cannot
-    hold exactly) one column at a time, as numpy's cost per call
-    outweighs the batching there; the results are the same bit for bit.
-    Then a search per column adds its nodes to stats. Returns X, whose
-    column j is x_j.
-    """
-    H, Y = _read_problem(H, Y, block=True)
     _check_box(H, box)
+    Y = y if y.ndim == 2 else y[:, None]
     factors = _factor(H)
     X = np.empty((H.shape[1], Y.shape[1]), dtype=np.int64, order="F")
     exact = -_FLOAT_EXACT < box.lower.min() and box.upper.max() < _FLOAT_EXACT
     if X.shape[1] >= _BLOCK_MIN and exact:
         reduced = _reorder_block(factors, Y, box)
     else:
-        reduced = (_reorder(factors, np.ascontiguousarray(y), box) for y in Y.T)
+        reduced = (_reorder(factors, np.ascontiguousarray(col), box) for col in Y.T)
     for j, (rp, permuted_box) in enumerate(reduced):
         X[:, j] = rp.Z @ boxed_search(rp, permuted_box, stats=stats)
-    return X
+    return _with_residuals(H, y, X)

@@ -18,13 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# The half-sweeps call only the *_many solvers. solve_ils and solve_ilsb
-# stay importable from this module because perfbench/tracing.py and
-# perfbench/selftest.py look them up here (tests/test_package_source.py
-# checks every name the tracer wraps).
-from .boxed import BoxConstraint, solve_ilsb, solve_ilsb_many  # noqa: F401
+from .boxed import BoxConstraint, _check_box, solve_ilsb
 from .exceptions import NotOrthonormalError, RankDeficientError
-from .ils import SearchStats, _project, _read_problem, solve_ils, solve_ils_many  # noqa: F401
+from .ils import SearchStats, _project, _read_problem, solve_ils
 from .linalg import as_int64, householder_qr, round_half_away
 
 STATUS_CONVERGED = "converged"
@@ -77,24 +73,19 @@ def round_project_orthonormal(A, V):
 def rounded_real_ls(H, y, box=None):
     """Round (and clamp to the box) the real least-squares solution.
 
-    The one-column case of _rounded_real_ls_many. Comparison baseline
-    only: the rounded point is generally not the integer optimum.
+    y is a vector or an m-by-p block, all from one QR of H, as for
+    solve_ils. Comparison baseline only: the rounded point is generally not
+    the integer optimum. A rounded coordinate outside int64 lies past every
+    box bound, so it takes the bound on its side; without a box it raises
+    a ValueError.
     """
     H, y = _read_problem(H, y)
-    return _rounded_real_ls_many(H, y[:, None], box)[:, 0]
-
-
-def _rounded_real_ls_many(H, Y, box):
-    """rounded_real_ls for every column of Y, from one QR of H.
-
-    A rounded coordinate outside int64 lies past every box bound, so it
-    takes the bound on its side; without a box it raises a ValueError.
-    """
-    H, Y = _read_problem(H, Y, block=True)
+    if box is not None:
+        _check_box(H, box)
     Q1, R = householder_qr(H)
-    Y_hat = _project(Q1, Y)
+    Y_hat = _project(Q1, y if y.ndim == 2 else y[:, None])
     W = np.empty(Y_hat.shape, order="F")
-    for j in range(Y.shape[1]):
+    for j in range(W.shape[1]):
         W[:, j] = np.linalg.solve(R, Y_hat[:, j])
     W = round_half_away(W)
     inside = (W >= -(2.0**63)) & (W < 2.0**63)  # exactly the floats that cast to int64
@@ -105,16 +96,17 @@ def _rounded_real_ls_many(H, Y, box):
         lower, upper = box.lower[:, None], box.upper[:, None]
         np.clip(X, lower, upper, out=X)
         np.copyto(X, np.where(W > 0, upper, lower), where=~inside)
-    return X
+    return X if y.ndim == 2 else X[:, 0]
 
 
 def _solve_columns(H, Y, box, method, stats):
     """X with column j minimizing ||Y[:, j] - H x_j||^2, one shared H for all j.
 
     Equal columns of Y are one problem: only the first of each is solved,
-    and its x is copied to the others. Every solver handles one column at
-    a time against a reduction of H alone, so a subset of the columns gets
-    the same answers and searches as the whole block.
+    and its x is copied to the others; the distinct ones go to the solver
+    as one block. Every solver handles one column at a time against a
+    reduction of H alone, so a subset of the columns gets the same answers
+    and searches as the whole block.
     """
     slots, first, inverse = {}, [], []
     for j, col in enumerate(np.asfortranarray(Y).T):
@@ -125,11 +117,11 @@ def _solve_columns(H, Y, box, method, stats):
         inverse.append(slots[key])
     distinct = Y if len(first) == Y.shape[1] else Y[:, first]
     if method != "ils":
-        X = _rounded_real_ls_many(H, distinct, box)
+        X = rounded_real_ls(H, distinct, box)
     elif box is None:
-        X = solve_ils_many(H, distinct, stats)
+        X, _ = solve_ils(H, distinct, stats)
     else:
-        X = solve_ilsb_many(H, distinct, box, stats)
+        X, _ = solve_ilsb(H, distinct, box, stats)
     if distinct is Y:
         return X
     full = np.empty((X.shape[0], Y.shape[1]), dtype=np.int64, order="F")

@@ -8,7 +8,8 @@ point is found and therefore terminates at a global minimizer. The
 reduction is partial LLL (plll_reduce); lll_reduce is the same reduction
 followed by a full size-reduction pass, which makes it LLL-reduced. The
 reduction depends on H alone, so problems that share H share one
-reduction and differ only in y_hat. The enumeration (_enumerate) serves
+reduction and differ only in y_hat: plll_reduce and solve_ils take a
+vector y or an m-by-p block of them. The enumeration (_enumerate) serves
 both solvers: se_search runs it on an unbounded box, and the boxed
 solver's boxed_search on its box.
 """
@@ -83,23 +84,34 @@ def _project(Q1, y):
     return Q1.T @ y
 
 
-def _read_problem(H, y, block=False):
-    """(H, y) of min ||y - H x||^2 as a 2-D float H and a float vector y.
+def _read_problem(H, y):
+    """(H, y) of min ||y - H x||^2 as a 2-D float H and a float y.
 
-    With block set, y must be an m-by-p block of right-hand sides and
-    stays one. A ValueError reports a y whose row count differs from H's,
-    or whose entries or squared norm are not finite; H's QR checks H.
+    A 2-D y is an m-by-p block of right-hand sides and stays one; any other
+    y is read as a vector. A ValueError reports an H with no columns, a y
+    whose row count differs from H's, or a y whose entries or squared norm
+    are not finite; H's QR checks the rest of H.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     y = np.asarray(y, dtype=float)
-    if block and y.ndim != 2:
-        raise ValueError(f"Y must be an m-by-p block of right-hand sides, got shape {y.shape}")
-    if not block:
+    if y.ndim != 2:
         y = y.ravel()
+    if H.shape[1] == 0:
+        raise ValueError("H has no columns")
     if y.shape[0] != H.shape[0]:
         raise ValueError(f"H has {H.shape[0]} rows but y has {y.shape[0]}")
     require_finite(y, "y")
     return H, y
+
+
+def _with_residuals(H, y, X):
+    """(x, float(r @ r)) for a vector y, (X, one squared residual per column) for a block."""
+    if y.ndim == 1:
+        x = X[:, 0]
+        r = y - H @ x
+        return x, float(r @ r)
+    r = y - H @ X
+    return X, np.einsum("ij,ij->j", r, r)
 
 
 def integer_gauss_transform(R, Z, i, j):
@@ -138,7 +150,7 @@ def plll_reduce(H, y):
     the layout. y_hat stays an array, so a block takes one rotation per
     swap. Z's entries do not wrap: one outside int64 raises a ValueError.
     """
-    H, y = _read_problem(H, y, block=np.ndim(y) == 2)
+    H, y = _read_problem(H, y)
     Q1, R_qr, perm = householder_qr_min_pivot(H)
     n = R_qr.shape[0]
     R = R_qr.tolist()
@@ -292,26 +304,16 @@ def se_search(rp, beta0=np.inf, stats=None):
 def solve_ils(H, y, stats=None):
     """Globally minimize ||y - H x||_2^2 over integer vectors x.
 
-    The one-column case of solve_ils_many. Returns (x, residual_sq).
-    H must have full column rank.
+    y is a vector or, as for plll_reduce, an m-by-p block of right-hand
+    sides: one reduction of H serves every column, each column gets its own
+    search, and every search adds its nodes to stats. Returns (x,
+    residual_sq), or (X, residuals_sq) with x_j in column j for a block.
+    H must have full column rank. A ValueError reports an x_j with a
+    coordinate outside int64.
     """
     H, y = _read_problem(H, y)
-    x = solve_ils_many(H, y[:, None], stats)[:, 0]
-    r = y - H @ x
-    return x, float(r @ r)
-
-
-def solve_ils_many(H, Y, stats=None):
-    """Globally minimize ||Y[:, j] - H x_j||_2^2 for every column j of Y.
-
-    One reduction of H serves every column; each column gets its own
-    search, and every search adds its nodes to stats. Returns X, whose
-    column j is x_j. H must have full column rank. A ValueError reports
-    an x_j with a coordinate outside int64.
-    """
-    H, Y = _read_problem(H, Y, block=True)
-    rp = plll_reduce(H, Y)
-    Zs = np.empty((rp.n, Y.shape[1]), dtype=np.int64, order="F")
+    rp = plll_reduce(H, y if y.ndim == 2 else y[:, None])
+    Zs = np.empty((rp.n, rp.y_hat.shape[1]), dtype=np.int64, order="F")
     for j in range(Zs.shape[1]):
         Zs[:, j] = se_search(rp.column(j), stats=stats)
     # Every z fits in int64, but Z z can leave it. The int64 product is
@@ -322,4 +324,5 @@ def solve_ils_many(H, Y, stats=None):
         exact = rp.Z.astype(object) @ Zs.astype(object)
         if not all(-(2**63) <= v < 2**63 for v in exact.flat):
             raise ValueError("a solution coordinate is outside the int64 range")
-    return np.matmul(rp.Z, Zs, out=np.empty_like(Zs))  # column-major, as Zs is
+    X = np.matmul(rp.Z, Zs, out=np.empty_like(Zs))  # column-major, as Zs is
+    return _with_residuals(H, y, X)

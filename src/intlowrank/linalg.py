@@ -29,12 +29,16 @@ def as_int64(values, name):
 
     Only ints and integral floats pass: a fractional or NaN entry, or a Fraction, is never
     rounded or truncated, and one outside int64 (inf, 1e19, 2**63) is never wrapped.
-    An int64 array comes back as itself, not as a copy.
+    An int64 array comes back as itself, not as a copy. Other sequences are read as Python
+    objects, so an int that numpy would round to float64 (2**62 + 1 beside 2.0) stays exact.
     """
     arr = np.asarray(values)
     if np.can_cast(arr.dtype, np.int64):  # every value of the dtype fits
         return arr.astype(np.int64, copy=False)
+    if not isinstance(values, np.ndarray):
+        arr = np.array(values, dtype=object)
     for v in arr.ravel().tolist():
+        v = v.item() if isinstance(v, np.generic) else v
         fractional = not isinstance(v, float) or not (v.is_integer() or math.isinf(v))
         if fractional and not isinstance(v, (int, np.integer)):
             raise ValueError(f"{name} {v} is not an integer")

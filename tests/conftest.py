@@ -57,7 +57,7 @@ def int_det(M):
 
 def array_plll_reduce(H, y):
     """ils.plll_reduce on numpy arrays: R and Z updated in place, column by column."""
-    H, y = _read_problem(H, y, block=np.ndim(y) == 2)
+    H, y = _read_problem(H, y)
     Q1, R, perm = householder_qr_min_pivot(H)
     n = R.shape[0]
     Z = np.zeros((n, n), dtype=np.int64)

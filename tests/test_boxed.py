@@ -20,17 +20,18 @@ from intlowrank.boxed import (
     in_box_rounding,
     mch_reduce,
     solve_ilsb,
-    solve_ilsb_many,
 )
 from intlowrank.exceptions import EmptyBoxError, RankDeficientError
+from intlowrank.factorize import rounded_real_ls
 from intlowrank.ils import ReducedProblem, SearchStats, _project, plll_reduce, se_search
 from intlowrank.linalg import givens_coeffs, rotate_rows
 
 # Every entry point that reads a boxed problem (H, y), called as f(H, y, box).
 READERS = {
     "solve_ilsb": solve_ilsb,
-    "solve_ilsb_many": lambda H, y, box: solve_ilsb_many(H, np.reshape(y, (-1, 1)), box),
+    "solve_ilsb_block": lambda H, y, box: solve_ilsb(H, np.reshape(y, (-1, 1)), box),
     "mch_reduce": mch_reduce,
+    "rounded_real_ls": rounded_real_ls,
 }
 
 
@@ -82,6 +83,11 @@ class TestBoxConstraint:
         box = BoxConstraint(np.array([1.0, -2.0]), np.array([3, 4], dtype=np.int32))
         assert box.lower.dtype == box.upper.dtype == np.int64
         assert box.lower.tolist() == [1, -2] and box.upper.tolist() == [3, 4]
+
+    def test_int_bound_mixed_with_floats_kept_exactly(self):
+        # numpy reads this list as float64, which rounded the lower bound to 2**53.
+        box = BoxConstraint([2**53 + 1, 0.0], [2**53 + 1, 5])
+        assert box.lower.tolist() == [2**53 + 1, 0]
 
 
 class TestInBoxRounding:
@@ -314,6 +320,19 @@ class TestSolveILSb:
         with pytest.raises(ValueError, match="H has 3 rows but y has 2"):
             read(np.eye(3), [1, 2], BoxConstraint.uniform(3, -5, 5))
 
+    @pytest.mark.parametrize("read", READERS.values(), ids=READERS.keys())
+    def test_no_columns_rejected(self, read):
+        with pytest.raises(ValueError, match="H has no columns"):
+            read(np.zeros((3, 0)), [1.0, 2.0, 3.0], BoxConstraint.uniform(1, 0, 2))
+
+    # rounded_real_ls used to broadcast a 1-coordinate box over every
+    # coordinate, returning [1, 2, 0] here.
+    @pytest.mark.parametrize("read", READERS.values(), ids=READERS.keys())
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_box_width_must_match_columns(self, read, width):
+        with pytest.raises(ValueError, match=f"box has {width} coordinates, expected 3"):
+            read(np.eye(3), [1.2, 5.0, -3.0], BoxConstraint.uniform(width, 0, 2))
+
     def test_binding_box_changes_solution(self):
         H = np.array([[8.0, 1.0], [9.0, 2.0]])
         y = np.array([16.0, 17.0])
@@ -345,13 +364,15 @@ class TestSharedFactorization:
             lo = rng.integers(-4, 1, size=n)
             box = BoxConstraint(lo, lo + rng.integers(0, 6, size=n))  # some singletons
             block = SearchStats()
-            X = solve_ilsb_many(H, Y, box, stats=block)
-            assert X.shape == (n, width)
+            X, residuals_sq = solve_ilsb(H, Y, box, stats=block)
+            assert X.shape == (n, width) and residuals_sq.shape == (width,)
             nodes, betas = 0, []
             for j in range(width):
                 single, direct = SearchStats(), SearchStats()
-                x, _ = solve_ilsb(H, Y[:, j], box, stats=single)
+                x, resid_sq = solve_ilsb(H, Y[:, j], box, stats=single)
                 assert np.array_equal(X[:, j], x)
+                # Integer data: every sum is exact, so the residuals agree.
+                assert residuals_sq[j] == resid_sq
                 # The one-column solve is the reduction and search of the vector.
                 rp, pbox = mch_reduce(H, Y[:, j], box)
                 assert np.array_equal(x, rp.Z @ boxed_search(rp, pbox, stats=direct))
@@ -369,18 +390,14 @@ class TestSharedFactorization:
         H = random_full_rank(rng, 6, 3, lo=-9, hi=9).astype(float)
         Y = rng.integers(-60, 61, size=(6, _BLOCK_MIN + 4)).astype(float)
         box = BoxConstraint([-(2**60), 0, 2**60 + 1], [2**60, 3, 2**60 + 3])
-        X = solve_ilsb_many(H, Y, box)
+        X, _ = solve_ilsb(H, Y, box)
         for x, y in zip(X.T, Y.T):
             assert np.array_equal(x, solve_ilsb(H, y, box)[0])
             assert box.contains(x)
 
-    def test_block_must_be_two_dimensional(self):
-        with pytest.raises(ValueError):
-            solve_ilsb_many(np.eye(2), np.ones(2), BoxConstraint.uniform(2, 0, 1))
-
     def test_box_length_must_match_columns(self):
         with pytest.raises(ValueError, match="box has 3 coordinates, expected 2"):
-            solve_ilsb_many(np.eye(2), np.ones((2, 1)), BoxConstraint.uniform(3, 0, 1))
+            solve_ilsb(np.eye(2), np.ones((2, 1)), BoxConstraint.uniform(3, 0, 1))
 
 
 class TestFiniteBound:

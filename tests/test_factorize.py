@@ -54,6 +54,10 @@ class TestResidual:
         A = np.zeros((2, 2), dtype=np.int64)
         assert residual(A, U, V) == 2 * 10**36 + 8 * 10**36
 
+    def test_int_entry_mixed_with_floats_kept_exactly(self):
+        # numpy reads this A as float64, which rounded 2**53 + 1 to 2**53.
+        assert residual([[2**53 + 1, 0.0]], [[1]], [[0, 0]]) == (2**53 + 1) ** 2
+
     def test_rejects_fractional_entries(self):
         with pytest.raises(ValueError):
             as_int_matrix(np.array([[1.5, 2.0]]))

@@ -12,7 +12,7 @@ from conftest import (
 
 from intlowrank.exceptions import RankDeficientError
 from intlowrank.factorize import rounded_real_ls
-from intlowrank.boxed import BoxConstraint, boxed_search, mch_reduce
+from intlowrank.boxed import BoxConstraint, boxed_search, mch_reduce, solve_ilsb
 from intlowrank.ils import (
     SearchStats,
     integer_gauss_transform,
@@ -20,7 +20,6 @@ from intlowrank.ils import (
     plll_reduce,
     se_search,
     solve_ils,
-    solve_ils_many,
 )
 
 EX21_H = np.array([[8.0, 1.0], [9.0, 2.0]])
@@ -29,7 +28,7 @@ EX21_Y = np.array([16.0, 17.0])
 # Every entry point that reads an unconstrained problem (H, y), called as f(H, y).
 READERS = {
     "solve_ils": solve_ils,
-    "solve_ils_many": lambda H, y: solve_ils_many(H, np.reshape(y, (-1, 1))),
+    "solve_ils_block": lambda H, y: solve_ils(H, np.reshape(y, (-1, 1))),
     "plll_reduce": plll_reduce,
     "lll_reduce": lll_reduce,
     "rounded_real_ls": rounded_real_ls,
@@ -272,6 +271,11 @@ class TestSolveILS:
         with pytest.raises(ValueError, match="H has 3 rows but y has 2"):
             read(np.eye(3), [1, 2])
 
+    @pytest.mark.parametrize("read", READERS.values(), ids=READERS.keys())
+    def test_no_columns_rejected(self, read):
+        with pytest.raises(ValueError, match="H has no columns"):
+            read(np.zeros((3, 0)), [1.0, 2.0, 3.0])
+
     # plll_reduce gives this H the Z [[-333, 1], [1, 0]], so x = Z z can
     # leave int64 while every z fits.
     BIG_Z_H = np.array([[3.0, 1000.4], [0.0, 1.0], [0.0, 0.0]])
@@ -333,13 +337,15 @@ class TestSharedReduction:
         for n in (1, 1, 2, 3, 4, 5):
             H, Y = self._block(rng, n + 2, n, 7)
             block = SearchStats()
-            X = solve_ils_many(H, Y, stats=block)
-            assert X.shape == (n, 7)
+            X, residuals_sq = solve_ils(H, Y, stats=block)
+            assert X.shape == (n, 7) and residuals_sq.shape == (7,)
             nodes, betas = 0, []
             for j in range(7):
                 single, direct = SearchStats(), SearchStats()
-                x, _ = solve_ils(H, Y[:, j], stats=single)
+                x, resid_sq = solve_ils(H, Y[:, j], stats=single)
                 assert np.array_equal(X[:, j], x)
+                # Integer data: every sum is exact, so the residuals agree.
+                assert residuals_sq[j] == resid_sq
                 # The one-column solve is the reduction and search of the vector.
                 rp = plll_reduce(H, Y[:, j])
                 assert np.array_equal(x, rp.Z @ se_search(rp, stats=direct))
@@ -353,11 +359,44 @@ class TestSharedReduction:
     def test_rank_deficient_block_raises(self):
         H = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
         with pytest.raises(RankDeficientError):
-            solve_ils_many(H, np.ones((3, 4)))
+            solve_ils(H, np.ones((3, 4)))
 
-    def test_block_must_be_two_dimensional(self):
-        with pytest.raises(ValueError):
-            solve_ils_many(np.eye(2), np.ones(2))
+
+# Every solver, called as f(H, y) and returning (x, residual_sq or None).
+SOLVERS = {
+    "solve_ils": solve_ils,
+    "solve_ilsb": lambda H, y: solve_ilsb(H, y, BoxConstraint.uniform(np.shape(H)[1], -9, 9)),
+    "rounded_real_ls": lambda H, y: (rounded_real_ls(H, y), None),
+}
+
+
+@pytest.mark.parametrize("solve", SOLVERS.values(), ids=SOLVERS.keys())
+class TestBlockShape:
+    """A 2-D y is a block of right-hand sides; any other y is one vector."""
+
+    H = np.array([[2.0, 1.0], [0.0, 3.0], [1.0, 1.0]])
+    Y = np.array([[4.0, -7.0, 0.0], [5.0, 2.0, 9.0], [1.0, 1.0, -3.0]])
+
+    def test_one_column_block_stays_a_block(self, solve):
+        X, residuals_sq = solve(self.H, self.Y[:, :1])
+        assert X.shape == (2, 1) and X.dtype == np.int64
+        assert residuals_sq is None or residuals_sq.shape == (1,)
+
+    def test_columns_are_the_vector_solves(self, solve):
+        X, residuals_sq = solve(self.H, self.Y)
+        assert X.shape == (2, 3)
+        for j in range(3):
+            x, resid_sq = solve(self.H, self.Y[:, j])
+            assert np.array_equal(X[:, j], x)
+            assert residuals_sq is None or residuals_sq[j] == resid_sq
+
+    def test_one_row_block_is_a_row_count_error(self, solve):
+        with pytest.raises(ValueError, match="H has 3 rows but y has 1"):
+            solve(self.H, self.Y[:, 0][None, :])
+
+    def test_one_row_block_of_a_one_row_H(self, solve):
+        X, _ = solve([[2.0]], [[6.0, -4.0]])
+        assert X.tolist() == [[3, -2]]
 
 
 class TestFiniteEntries:

@@ -4,6 +4,7 @@ from conftest import int_det
 
 from intlowrank.exceptions import RankDeficientError
 from intlowrank.linalg import (
+    as_int64,
     givens_coeffs,
     householder_qr,
     householder_qr_min_pivot,
@@ -39,6 +40,24 @@ class TestRounding:
             [2.0**52 - 0.5, 0.5 - 2.0**52, 2.0**53 + 2],
         ])
         assert [round_half_away_int(v) for v in x.tolist()] == [int(v) for v in round_half_away(x)]
+
+
+class TestAsInt64:
+    # numpy reads a list mixing ints with floats as float64, which rounded
+    # these ints to the nearest float before they were checked.
+    @pytest.mark.parametrize("values", [[2**62 + 1, 2.0], [2**63 - 1, 2.0], [-(2**62) - 1, 1.0]])
+    def test_ints_mixed_with_floats_kept_exactly(self, values):
+        out = as_int64(values, "x")
+        assert out.dtype == np.int64 and out.tolist() == [int(v) for v in values]
+
+    def test_entry_past_int64_named_exactly(self):
+        with pytest.raises(ValueError, match=f"x {2**63 + 1} is outside the int64 range"):
+            as_int64([2**63 - 1, 2**63 + 1], "x")
+
+    def test_numpy_scalars_in_a_list(self):
+        assert as_int64([np.float32(2.0), np.int8(-3), 4], "x").tolist() == [2, -3, 4]
+        with pytest.raises(ValueError, match="x 0.5 is not an integer"):
+            as_int64([np.float32(0.5), 1], "x")
 
 
 class TestHouseholderQR:

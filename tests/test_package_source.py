@@ -28,24 +28,22 @@ def test_package_has_no_assert():
 
 def test_no_unused_imports():
     # No linter runs on this project, so an import that nothing reads would
-    # stay unseen. __init__.py re-exports by importing, and a line marked
-    # "# noqa: F401" imports for a side effect.
-    modules = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
-    assert len(modules) > 15
+    # stay unseen. __init__.py re-exports by importing.
+    modules = sorted(PACKAGE.rglob("*.py"))
+    modules += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
+    assert len(modules) > 17
     found = []
     for path in modules:
         if path.name == "__init__.py":
             continue
-        source = path.read_text(encoding="utf-8")
-        lines = source.splitlines()
-        tree = ast.parse(source, filename=str(path))
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
-                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                if name not in used:
                     found.append(f"{path.name}:{alias.lineno} {name}")
     assert not found, f"unused imports: {', '.join(found)}"
 
