@@ -110,7 +110,8 @@ def _with_residuals(H, y, X):
         x = X[:, 0]
         r = y - H @ x
         return x, float(r @ r)
-    r = y - H @ X
+    r = H @ X
+    r -= y  # the residual negated, in place: one m-by-p temporary, not two
     return X, np.einsum("ij,ij->j", r, r)
 
 
