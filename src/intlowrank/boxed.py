@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EmptyBoxError
-from .ils import ReducedProblem, _enumerate, _project, _read_problem, _with_residuals
+from .ils import ReducedProblem, _answer, _enumerate, _project, _read_problem
 from .linalg import (
     as_int64,
     givens_coeffs,
@@ -322,7 +322,7 @@ def solve_ilsb(H, y, box, stats=None):
     with a bound float64 cannot hold exactly) one column at a time, as
     numpy's cost per call outweighs the batching there; the results are the
     same bit for bit. Then a search per column adds its nodes to stats.
-    Returns (x, residual_sq), or (X, residuals_sq) with x_j in column j for
+    Returns (x, residual_sq) for a vector and the n-by-p int64 X alone for
     a block. H must have full column rank and the box must be nonempty.
     """
     H, y = _read_problem(H, y)
@@ -337,4 +337,4 @@ def solve_ilsb(H, y, box, stats=None):
         reduced = (_reorder(factors, np.ascontiguousarray(col), box) for col in Y.T)
     for j, (rp, permuted_box) in enumerate(reduced):
         X[:, j] = rp.Z @ boxed_search(rp, permuted_box, stats=stats)
-    return _with_residuals(H, y, X)
+    return _answer(H, y, X)

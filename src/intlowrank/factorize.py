@@ -104,9 +104,9 @@ def _solve_columns(H, Y, box, method, stats):
 
     Equal columns of Y are one problem: only the first of each is solved,
     and its x is copied to the others; the distinct ones go to the solver
-    as one block. Every solver handles one column at a time against a
-    reduction of H alone, so a subset of the columns gets the same answers
-    and searches as the whole block.
+    as one block, and it returns X alone. Every solver handles one column
+    at a time against a reduction of H alone, so a subset of the columns
+    gets the same answers and searches as the whole block.
     """
     slots, first, inverse = {}, [], []
     for j, col in enumerate(np.asfortranarray(Y).T):
@@ -119,9 +119,9 @@ def _solve_columns(H, Y, box, method, stats):
     if method != "ils":
         X = rounded_real_ls(H, distinct, box)
     elif box is None:
-        X, _ = solve_ils(H, distinct, stats)
+        X = solve_ils(H, distinct, stats)
     else:
-        X, _ = solve_ilsb(H, distinct, box, stats)
+        X = solve_ilsb(H, distinct, box, stats)
     if distinct is Y:
         return X
     full = np.empty((X.shape[0], Y.shape[1]), dtype=np.int64, order="F")

@@ -104,15 +104,13 @@ def _read_problem(H, y):
     return H, y
 
 
-def _with_residuals(H, y, X):
-    """(x, float(r @ r)) for a vector y, (X, one squared residual per column) for a block."""
-    if y.ndim == 1:
-        x = X[:, 0]
-        r = y - H @ x
-        return x, float(r @ r)
-    r = H @ X
-    r -= y  # the residual negated, in place: one m-by-p temporary, not two
-    return X, np.einsum("ij,ij->j", r, r)
+def _answer(H, y, X):
+    """X for a block y; (x, float(r @ r)) for a vector y, whose x is X's one column."""
+    if y.ndim == 2:
+        return X
+    x = X[:, 0]
+    r = y - H @ x
+    return x, float(r @ r)
 
 
 def integer_gauss_transform(R, Z, i, j):
@@ -308,9 +306,9 @@ def solve_ils(H, y, stats=None):
     y is a vector or, as for plll_reduce, an m-by-p block of right-hand
     sides: one reduction of H serves every column, each column gets its own
     search, and every search adds its nodes to stats. Returns (x,
-    residual_sq), or (X, residuals_sq) with x_j in column j for a block.
-    H must have full column rank. A ValueError reports an x_j with a
-    coordinate outside int64.
+    residual_sq) for a vector and, for a block, the n-by-p int64 X alone
+    with x_j in column j. H must have full column rank. A ValueError
+    reports an x_j with a coordinate outside int64.
     """
     H, y = _read_problem(H, y)
     rp = plll_reduce(H, y if y.ndim == 2 else y[:, None])
@@ -326,4 +324,4 @@ def solve_ils(H, y, stats=None):
         if not all(-(2**63) <= v < 2**63 for v in exact.flat):
             raise ValueError("a solution coordinate is outside the int64 range")
     X = np.matmul(rp.Z, Zs, out=np.empty_like(Zs))  # column-major, as Zs is
-    return _with_residuals(H, y, X)
+    return _answer(H, y, X)

@@ -447,6 +447,36 @@ class TestBCDFactorize:
                 assert result.V.min() >= 0 and result.V.max() <= 5
                 assert result.final_residual == residual(A, result.U, result.V)
 
+    @pytest.mark.parametrize("box", [None, (-3, 3)], ids=["unboxed", "boxed"])
+    @pytest.mark.parametrize("seed", [0, 6])
+    def test_descent_on_entries_near_1e9(self, seed, box):
+        # Entries near 1e9 put residual()'s bound past int64, so every
+        # history entry is summed in Python ints.
+        rng = np.random.default_rng(seed)
+        m, n, k, scale = 9, 7, 3, 10**9
+        A = rng.integers(-3, 4, size=(m, k)) @ rng.integers(-scale, scale + 1, size=(k, n))
+        A += rng.integers(-scale // 2, scale // 2 + 1, size=(m, n))
+        assert A.size * int(np.abs(A).max()) ** 2 >= 2**63  # entry_bound >= max |A|
+        config = FactorizationConfig(
+            rank=k,
+            init=rng.integers(-scale, scale + 1, size=(k, n)),
+            box_u=box,
+            # A box_v that cuts V off far from its centers makes boxed_search
+            # walk about 1e9 nodes; this one is far wider than any V here.
+            box_v=None if box is None else (-(2**40), 2**40),
+        )
+        result = bcd_factorize(A, config)
+        hist = result.residual_history
+        assert result.status == STATUS_CONVERGED and len(hist) >= 6
+        assert all(b <= a for a, b in zip(hist, hist[1:]))
+        U, V = result.U.tolist(), result.V.tolist()
+        exact = sum(
+            (a - sum(u * v for u, v in zip(U[i], col))) ** 2
+            for i, row in enumerate(A.tolist())
+            for a, col in zip(row, zip(*V))
+        )
+        assert hist[-1] == exact
+
     def test_deterministic(self):
         A = RANDOM_TEST_A
         config = FactorizationConfig(rank=3, box_u=(1, 4), box_v=(1, 4), init="random", seed=7)
