@@ -14,6 +14,7 @@ from intlowrank.exceptions import RankDeficientError
 from intlowrank.factorize import rounded_real_ls
 from intlowrank.boxed import BoxConstraint, boxed_search, mch_reduce, solve_ilsb
 from intlowrank.ils import (
+    ReducedProblem,
     SearchStats,
     integer_gauss_transform,
     lll_reduce,
@@ -490,3 +491,113 @@ class TestSearchBits:
         assert got.dtype == np.int64 and got.tolist() == z
         assert stats.nodes == nodes
         assert [b.hex() for b in stats.betas] == betas
+
+
+def _bcd_row(seed, n, noise):
+    """A BCD row's problem: H with entries in [1, 4] and 2n + 4 rows, y = H x + noise."""
+    rng = np.random.default_rng(seed)
+    H = rng.integers(1, 5, size=(2 * n + 4, n))
+    return H, H @ rng.integers(1, 5, size=n) + rng.integers(-noise, noise + 1, size=2 * n + 4)
+
+
+class TestSearchBitsBCDShapes:
+    """TestSearchBits on the short rows of a BCD half-sweep (n = 1, 3, 6).
+
+    A row of R with fewer than about six terms takes BLAS's scalar tail
+    loop, not the unrolled one the 22-27 dim problems above exercise.
+    Unboxed problems search PLLL's C-ordered R; boxed ones, on the box
+    [1, 4], either the reordering's F-ordered R (a column moved) or the
+    factor's C-ordered R (none did). A "-0" case replaces y_hat's last
+    entry, the top level's center numerator, by -0.0.
+    """
+
+    @pytest.mark.parametrize("n, boxed, layout, seed, noise, negative_zero, z, nodes, betas", [
+        (1, False, "C", 0, 3, False, [1], 1, ["0x1.7d05f417d05fbp-2"]),
+        (3, False, "C", 257, 3, False, [3, 8, 10], 11,
+         ["0x1.58992124b9c98p+4", "0x1.28992124b9cc0p+4", "0x1.f1324249739b4p+3"]),
+        (6, False, "C", 286, 12, False, [7, 7, 11, 3, 2, 17], 35,
+         ["0x1.5ebec993c57e8p+5", "0x1.56bec993c5806p+5", "0x1.56bec993c57f8p+5",
+          "0x1.36bec993c57ffp+5", "0x1.bd7d93278b036p+4"]),
+        (3, True, "F", 24, 3, False, [3, 2, 2], 13,
+         ["0x1.851e319e0a27ap+4", "0x1.551e319e0a264p+4", "0x1.051e319e0a268p+4"]),
+        (3, True, "C", 191, 12, False, [2, 2, 3], 13,
+         ["0x1.7bce3c99b165bp+4", "0x1.2bce3c99b168dp+4"]),
+        (6, True, "F", 382, 12, False, [4, 3, 1, 3, 3, 4], 29,
+         ["0x1.c81ddcf873e06p+5", "0x1.481ddcf873ddep+5", "0x1.481ddcf873dc2p+5",
+          "0x1.201ddcf873dbbp+5"]),
+        (6, True, "C", 327, 3, False, [4, 2, 1, 3, 2, 2], 25,
+         ["0x1.8bc6a2093c046p+4", "0x1.0bc6a2093c05ap+4", "0x1.d78d44127807cp+3",
+          "0x1.b78d44127806ap+3"]),
+        (3, False, "C", 257, 3, True, [-4, 10, 0], 5, ["0x1.2ffb0c1292b75p+1"]),
+        (3, True, "F", 24, 3, True, [3, 3, 1], 9, ["0x1.01b6c2f7ce81ap+5", "0x1.d36d85ef9d01ep+4"]),
+    ], ids=["unboxed-1", "unboxed-3", "unboxed-6", "boxed-3-F", "boxed-3-C", "boxed-6-F",
+            "boxed-6-C", "unboxed-3-neg0", "boxed-3-F-neg0"])
+    def test_pinned(self, n, boxed, layout, seed, noise, negative_zero, z, nodes, betas):
+        H, y = _bcd_row(seed, n, noise)
+        if boxed:
+            rp, box = mch_reduce(H, y, BoxConstraint.uniform(n, 1, 4))
+        else:
+            rp = plll_reduce(H, y)
+        assert rp.R.flags.c_contiguous == (layout == "C")
+        assert rp.R.flags.f_contiguous == (layout == "F" or n == 1)
+        if negative_zero:
+            y_hat = rp.y_hat.copy()
+            y_hat[-1] = -0.0
+            rp = ReducedProblem(R=rp.R, Z=rp.Z, y_hat=y_hat)
+        stats = SearchStats()
+        got = boxed_search(rp, box, stats=stats) if boxed else se_search(rp, stats=stats)
+        assert got.dtype == np.int64 and got.tolist() == z
+        assert stats.nodes == nodes
+        assert [b.hex() for b in stats.betas] == betas
+
+
+def _mixed_block():
+    """(H, Y) whose columns differ widely: y = 0, entries near 1e9, tie-rich odd ys, duplicates.
+
+    H = 2 G, so an odd y puts every residual at a sum of odd squares and
+    many points tie. Twelve columns send a boxed block down the batched
+    reordering.
+    """
+    rng = np.random.default_rng(5)
+    H = 2 * random_full_rank(rng, 6, 4, lo=-2, hi=2)
+    big = H @ rng.integers(-(10**8), 10**8, size=4) + rng.integers(-40, 41, size=6)
+    odd = 2 * rng.integers(-6, 6, size=(6, 7)) + 1
+    Y = np.column_stack([np.zeros(6, dtype=np.int64), big, odd, odd[:, 2], big + 3, big])
+    assert abs(big).max() > 10**8
+    return H, Y
+
+
+class TestBlockColumnsIndependent:
+    """A column's search sees nothing of the block's other columns.
+
+    Each column of a block solve, in any column order, returns the x,
+    nodes and accepted radii of its own vector solve, and the block's
+    stats are the columns' stats in column order.
+    """
+
+    BOX = BoxConstraint.uniform(4, -(2**40), 2**40)
+    SOLVES = {
+        "solve_ils": lambda H, y, stats: solve_ils(H, y, stats=stats),
+        "solve_ilsb": lambda H, y, stats: solve_ilsb(H, y, TestBlockColumnsIndependent.BOX, stats),
+    }
+
+    @pytest.mark.parametrize("order", ["forward", "reversed", "shuffled"])
+    @pytest.mark.parametrize("solver", SOLVES.keys())
+    def test_columns_are_their_vector_solves(self, solver, order):
+        solve = self.SOLVES[solver]
+        H, Y = _mixed_block()
+        p = Y.shape[1]
+        cols = {"forward": np.arange(p), "reversed": np.arange(p)[::-1],
+                "shuffled": np.random.default_rng(9).permutation(p)}[order]
+        block = SearchStats()
+        X = solve(H, Y[:, cols], block)
+        nodes, betas = 0, []
+        for i, j in enumerate(cols):
+            single = SearchStats()
+            x, _ = solve(H, Y[:, j], single)
+            assert np.array_equal(X[:, i], x)
+            assert single.nodes > 0
+            nodes += single.nodes
+            betas += [b.hex() for b in single.betas]
+        assert block.nodes == nodes
+        assert [b.hex() for b in block.betas] == betas
