@@ -3,7 +3,8 @@
 Factorizes an integer matrix A as U V with integer (optionally
 box-constrained) factors by block coordinate descent, where every
 row/column subproblem is an integer least squares problem solved to
-global optimality by lattice reduction plus best-first enumeration.
+global optimality by lattice reduction plus a depth-first zigzag
+(Schnorr-Euchner) enumeration.
 """
 
 from .boxed import (

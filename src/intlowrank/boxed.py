@@ -302,12 +302,14 @@ def compute_bound_table(R, y_hat, box):
 
 
 def boxed_search(rp, box, beta0=np.inf, stats=None):
-    """Best-first enumeration over the box in reduced coordinates.
+    """Depth-first zigzag enumeration over the box in reduced coordinates.
 
-    The zigzag of ils.se_search (ils._enumerate), clipped to the box:
-    backtracking skips levels whose interval is fully enumerated, which
-    guarantees termination on every nonempty box. Returns a global
-    minimizer, or None when a finite beta0 admits no point.
+    The Schnorr-Euchner zigzag of ils.se_search (ils._enumerate), clipped
+    to the box: backtracking skips levels whose interval is fully
+    enumerated, which guarantees termination on every nonempty box.
+    Returns a global minimizer, or None when a finite beta0 admits no
+    point. Each call builds its own search state from rp.R, since the
+    reordering gives every right-hand side its own R.
     """
     return _enumerate(rp, box.lower.tolist(), box.upper.tolist(), beta0, stats)
 

@@ -11,7 +11,9 @@ reduction depends on H alone, so problems that share H share one
 reduction and differ only in y_hat: plll_reduce and solve_ils take a
 vector y or an m-by-p block of them. The enumeration (_enumerate) serves
 both solvers: se_search runs it on an unbounded box, and the boxed
-solver's boxed_search on its box.
+solver's boxed_search on its box. The part of its state that depends on
+R alone (_search_levels) is built once per R, so a block's searches
+share it.
 """
 
 from dataclasses import dataclass, field
@@ -52,20 +54,25 @@ class ReducedProblem:
 
     ||y - H (Z z)||^2 - ||y_hat - R z||^2 is the same for every z: the
     squared part of y outside the column space of H, which changes no
-    search decision and is not kept.
+    search decision and is not kept. _levels is None unless a block
+    solve sets it to the search state _search_levels(R) that its columns
+    share.
     """
 
     R: np.ndarray
     Z: np.ndarray
     y_hat: np.ndarray
+    _levels: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self):
         return self.R.shape[0]
 
     def column(self, j):
-        """Problem j of a block reduction, whose y_hat is n-by-p."""
-        return ReducedProblem(R=self.R, Z=self.Z, y_hat=self.y_hat[:, j])
+        """Problem j of a block reduction, whose y_hat is n-by-p; it shares R's levels."""
+        col = ReducedProblem(R=self.R, Z=self.Z, y_hat=self.y_hat[:, j])
+        col._levels = self._levels
+        return col
 
 
 def _project(Q1, y):
@@ -203,6 +210,32 @@ def lll_reduce(H, y):
     return rp
 
 
+def _search_levels(R):
+    """The part of _enumerate's state that depends on R alone.
+
+    Returns (diag, products, tails, z_float): R's diagonal as floats, a
+    float64 buffer z_float for a search's fixed coordinates and, for each
+    level k below the top, its view tails[k] = z_float[k+1:] and a
+    products[k] with products[k](tails[k]) equal to R[k, k+1:] @
+    z_float[k+1:] bit for bit. That is the bound ndarray.dot of the row's
+    view, which runs the matmul's numpy DOUBLE_dot (a BLAS ddot) on the
+    same memory, except on the one-term row: there .dot reads the
+    one-element arrays as scalars and returns their bare product, where
+    the matmul adds it to +0.0 and so turns a -0.0 into +0.0, so that
+    row keeps the matmul. A level reads only entries that the same search
+    wrote on its way down, so searches that take turns on one state, as
+    the columns of a block do, see nothing of each other; two searches
+    must not run on it at once.
+    """
+    n = R.shape[0]
+    z_float = np.zeros(n)
+    products = [R[k, k + 1 :].dot for k in range(n - 2)]
+    if n > 1:
+        products.append(R[n - 2, n - 1 :].__matmul__)
+    tails = [z_float[k + 1 :] for k in range(n - 1)]
+    return R.diagonal().tolist(), products, tails, z_float
+
+
 def _enumerate(rp, lower, upper, beta0, stats):
     """Zigzag enumeration of min ||y_hat - R z||^2 over lower <= z <= upper.
 
@@ -216,17 +249,21 @@ def _enumerate(rp, lower, upper, beta0, stats):
     lower one. Backtracking skips levels whose interval is exhausted.
     Returns a global minimizer, or None when a finite beta0 admits no
     point; a coordinate outside int64 raises a ValueError. stats, when
-    given, gains the visited nodes and every accepted radius. Per-level
-    state lives in Python lists, as numpy scalar access would dominate.
-    The fixed coordinates are kept twice: exactly as ints, for the answer,
-    and as float64 for the center's product with a row of R. That product
-    is a BLAS dot of float64 vectors, as numpy's own cast of an int64 z
-    would make it, so every center keeps its bits.
+    given, gains the visited nodes and every accepted radius.
+
+    Per-level state lives in Python lists, as numpy scalar access would
+    dominate. The fixed coordinates are kept twice: exactly as ints, for
+    the answer, and in the float64 buffer of _search_levels(R), whose
+    views give each center its product with a row of R, the BLAS dot
+    that numpy's own cast of an int64 z would make. rp._levels carries
+    that state when a block solve built it once for all its columns;
+    otherwise the search builds its own. The top level's row is empty,
+    numpy's empty dot is +0.0 and y - 0.0 is y for every float, so that
+    center is y_hat / r_kk exactly.
     """
-    R = rp.R
     n = rp.n
+    diag, products, tails, z_float = rp._levels or _search_levels(rp.R)
     y_hat = rp.y_hat.tolist()
-    diag = R.diagonal().tolist()
     beta = float(beta0)
     best = None
     nodes = 0
@@ -236,13 +273,16 @@ def _enumerate(rp, lower, upper, beta0, stats):
     hi_f = [0] * n
     up = [False] * n
     z = [0] * n  # levels above the current one
-    z_float = np.zeros(n)
     k = n - 1
+    ck = y_hat[k] / diag[k]
     try:
         while True:
-            # Enter level k at the in-box integer nearest its center.
-            ck = (y_hat[k] - float(R[k, k + 1 :] @ z_float[k + 1 :])) / diag[k]
-            zk = min(max(round_half_away_int(ck), lower[k]), upper[k])
+            # Enter level k at the in-box integer nearest its center ck.
+            zk = round_half_away_int(ck)
+            if zk < lower[k]:
+                zk = lower[k]
+            elif zk > upper[k]:
+                zk = upper[k]
             c[k] = ck
             lo_f[k] = hi_f[k] = zk
             up[k] = ck >= zk
@@ -257,6 +297,7 @@ def _enumerate(rp, lower, upper, beta0, stats):
                     if k > 0:
                         t[k - 1] = partial
                         k -= 1
+                        ck = (y_hat[k] - float(products[k](tails[k]))) / diag[k]
                         break
                     beta = partial
                     best = z[:]
@@ -312,6 +353,7 @@ def solve_ils(H, y, stats=None):
     """
     H, y = _read_problem(H, y)
     rp = plll_reduce(H, y if y.ndim == 2 else y[:, None])
+    rp._levels = _search_levels(rp.R)  # one search state for every column
     Zs = np.empty((rp.n, rp.y_hat.shape[1]), dtype=np.int64, order="F")
     for j in range(Zs.shape[1]):
         Zs[:, j] = se_search(rp.column(j), stats=stats)

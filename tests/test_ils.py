@@ -16,6 +16,7 @@ from intlowrank.boxed import BoxConstraint, boxed_search, mch_reduce, solve_ilsb
 from intlowrank.ils import (
     ReducedProblem,
     SearchStats,
+    _search_levels,
     integer_gauss_transform,
     lll_reduce,
     plll_reduce,
@@ -492,6 +493,30 @@ class TestSearchBits:
         assert stats.nodes == nodes
         assert [b.hex() for b in stats.betas] == betas
 
+
+
+class TestSearchLevels:
+    """Each level's precomputed product is R[k, k+1:] @ z[k+1:] in every bit."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_products_are_the_matmul_bit_for_bit(self, order):
+        rng = np.random.default_rng(17)
+        negative_zeros = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            R = np.array(np.triu(rng.standard_normal((n, n))) * 10.0 ** rng.integers(-3, 4),
+                         order=order)
+            diag, products, tails, z_float = _search_levels(R)
+            assert diag == R.diagonal().tolist()
+            assert len(products) == len(tails) == n - 1
+            # Integer coordinates, zeros common, as a search writes them.
+            z_float[:] = rng.integers(-2, 3, size=n)
+            for k in range(n - 1):
+                want = float(R[k, k + 1 :] @ z_float[k + 1 :])
+                assert float(products[k](tails[k])).hex() == want.hex()
+                negative_zeros += k == n - 2 and R[k, k + 1] < 0 and z_float[k + 1] == 0
+        # A one-term row times 0 is -0.0 when the entry is negative: the matmul's +0.0 is pinned.
+        assert negative_zeros > 10
 
 def _bcd_row(seed, n, noise):
     """A BCD row's problem: H with entries in [1, 4] and 2n + 4 rows, y = H x + noise."""
