@@ -69,7 +69,7 @@ class ReducedProblem:
         return self.R.shape[0]
 
     def column(self, j):
-        """Problem j of a block reduction, whose y_hat is n-by-p; it shares R's levels."""
+        """Problem j of a block reduction, whose y_hat is n-by-p; it shares the block's _levels."""
         col = ReducedProblem(R=self.R, Z=self.Z, y_hat=self.y_hat[:, j])
         col._levels = self._levels
         return col
@@ -214,18 +214,15 @@ def _search_levels(R):
     """The part of _enumerate's state that depends on R alone.
 
     Returns (diag, products, tails, z_float): R's diagonal as floats, a
-    float64 buffer z_float for a search's fixed coordinates and, for each
-    level k below the top, its view tails[k] = z_float[k+1:] and a
-    products[k] with products[k](tails[k]) equal to R[k, k+1:] @
-    z_float[k+1:] bit for bit. That is the bound ndarray.dot of the row's
-    view, which runs the matmul's numpy DOUBLE_dot (a BLAS ddot) on the
-    same memory, except on the one-term row: there .dot reads the
-    one-element arrays as scalars and returns their bare product, where
-    the matmul adds it to +0.0 and so turns a -0.0 into +0.0, so that
-    row keeps the matmul. A level reads only entries that the same search
-    wrote on its way down, so searches that take turns on one state, as
-    the columns of a block do, see nothing of each other; two searches
-    must not run on it at once.
+    float64 buffer for a search's fixed coordinates, and per level k
+    below the top the view tails[k] = z_float[k+1:] and products[k],
+    where products[k](tails[k]) is R[k, k+1:] @ z_float[k+1:] in every
+    bit. It is the row view's .dot, the matmul's numpy DOUBLE_dot on the
+    same memory, except on the one-term row, which keeps the matmul:
+    .dot reads one-element arrays as scalars and keeps a -0.0 product
+    that the matmul's 0.0 + turns into +0.0. A level reads only entries
+    its own search wrote on the way down, so searches may take turns on
+    one state, as a block's columns do, but not run on it at once.
     """
     n = R.shape[0]
     z_float = np.zeros(n)

@@ -563,8 +563,7 @@ class TestSearchBitsBCDShapes:
             rp, box = mch_reduce(H, y, BoxConstraint.uniform(n, 1, 4))
         else:
             rp = plll_reduce(H, y)
-        assert rp.R.flags.c_contiguous == (layout == "C")
-        assert rp.R.flags.f_contiguous == (layout == "F" or n == 1)
+        assert rp.R.flags[f"{layout}_CONTIGUOUS"] and rp.R.flags.c_contiguous == (layout == "C")
         if negative_zero:
             y_hat = rp.y_hat.copy()
             y_hat[-1] = -0.0
@@ -600,26 +599,24 @@ class TestBlockColumnsIndependent:
     stats are the columns' stats in column order.
     """
 
-    BOX = BoxConstraint.uniform(4, -(2**40), 2**40)
-    SOLVES = {
-        "solve_ils": lambda H, y, stats: solve_ils(H, y, stats=stats),
-        "solve_ilsb": lambda H, y, stats: solve_ilsb(H, y, TestBlockColumnsIndependent.BOX, stats),
-    }
-
     @pytest.mark.parametrize("order", ["forward", "reversed", "shuffled"])
-    @pytest.mark.parametrize("solver", SOLVES.keys())
-    def test_columns_are_their_vector_solves(self, solver, order):
-        solve = self.SOLVES[solver]
+    @pytest.mark.parametrize("boxed", [False, True], ids=["solve_ils", "solve_ilsb"])
+    def test_columns_are_their_vector_solves(self, boxed, order):
         H, Y = _mixed_block()
+        box = BoxConstraint.uniform(4, -(2**40), 2**40)
+
+        def solve(y, stats):
+            return solve_ilsb(H, y, box, stats) if boxed else solve_ils(H, y, stats)
+
         p = Y.shape[1]
         cols = {"forward": np.arange(p), "reversed": np.arange(p)[::-1],
                 "shuffled": np.random.default_rng(9).permutation(p)}[order]
         block = SearchStats()
-        X = solve(H, Y[:, cols], block)
+        X = solve(Y[:, cols], block)
         nodes, betas = 0, []
         for i, j in enumerate(cols):
             single = SearchStats()
-            x, _ = solve(H, Y[:, j], single)
+            x, _ = solve(Y[:, j], single)
             assert np.array_equal(X[:, i], x)
             assert single.nodes > 0
             nodes += single.nodes
