@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EmptyBoxError
-from .ils import ReducedProblem, _answer, _enumerate, _project, _read_problem
+from .ils import ReducedProblem, _answer, _enumerate, _project, _read_problem, _search_levels
 from .linalg import (
     as_int64,
     givens_coeffs,
@@ -311,7 +311,8 @@ def boxed_search(rp, box, beta0=np.inf, stats=None):
     point. Each call builds its own search state from rp.R, since the
     reordering gives every right-hand side its own R.
     """
-    return _enumerate(rp, box.lower.tolist(), box.upper.tolist(), beta0, stats)
+    lower, upper = box.lower.tolist(), box.upper.tolist()
+    return _enumerate(_search_levels(rp.R), rp.y_hat.tolist(), lower, upper, beta0, stats)
 
 
 def solve_ilsb(H, y, box, stats=None):

@@ -21,7 +21,7 @@ import numpy as np
 from .boxed import BoxConstraint, _check_box, solve_ilsb
 from .exceptions import NotOrthonormalError, RankDeficientError
 from .ils import SearchStats, _project, _read_problem, solve_ils
-from .linalg import as_int64, householder_qr, round_half_away
+from .linalg import as_int64, householder_qr, max_abs, round_half_away
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_SWEEPS = "max_sweeps"
@@ -31,10 +31,6 @@ STATUS_RANK_DEFICIENT = "rank_deficient_failure"
 def as_int_matrix(A):
     """A as a 2-D int64 array; a ValueError names an entry that is not an integer (as_int64)."""
     return np.atleast_2d(as_int64(A, "matrix entry"))
-
-
-def _max_abs(M):
-    return max(-int(M.min()), int(M.max())) if M.size else 0
 
 
 def residual(A, U, V):
@@ -48,7 +44,7 @@ def residual(A, U, V):
     A = as_int_matrix(A)
     U = as_int_matrix(U)
     V = as_int_matrix(V)
-    entry_bound = _max_abs(A) + U.shape[1] * _max_abs(U) * _max_abs(V)
+    entry_bound = max_abs(A) + U.shape[1] * max_abs(U) * max_abs(V)
     if A.size * entry_bound**2 >= 2**63:
         A, U, V = (M.astype(object) for M in (A, U, V))
     D = A - U @ V
@@ -116,8 +112,10 @@ def _solve_columns(H, Y, box, method, stats):
             first.append(j)
         inverse.append(slots[key])
     distinct = Y if len(first) == Y.shape[1] else Y[:, first]
-    if method != "ils":
+    if method == "rounded_ls":
         X = rounded_real_ls(H, distinct, box)
+    elif method != "ils":
+        raise ValueError(f"unknown method {method!r}")
     elif box is None:
         X = solve_ils(H, distinct, stats)
     else:
@@ -298,8 +296,6 @@ def bcd_factorize(A, config):
     max_sweeps = int(as_int64(config.max_sweeps, "max_sweeps"))
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
-    if config.method not in ("ils", "rounded_ls"):
-        raise ValueError(f"unknown method {config.method!r}")
     box_u = BoxConstraint.uniform(k, *config.box_u) if config.box_u is not None else None
     box_v = BoxConstraint.uniform(k, *config.box_v) if config.box_v is not None else None
 

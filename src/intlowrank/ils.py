@@ -8,12 +8,11 @@ point is found and therefore terminates at a global minimizer. The
 reduction is partial LLL (plll_reduce); lll_reduce is the same reduction
 followed by a full size-reduction pass, which makes it LLL-reduced. The
 reduction depends on H alone, so problems that share H share one
-reduction and differ only in y_hat: plll_reduce and solve_ils take a
-vector y or an m-by-p block of them. The enumeration (_enumerate) serves
-both solvers: se_search runs it on an unbounded box, and the boxed
-solver's boxed_search on its box. The part of its state that depends on
-R alone (_search_levels) is built once per R, so a block's searches
-share it.
+reduction and differ only in y_hat: plll_reduce, se_search and
+solve_ils take a vector y or an m-by-p block of them. The enumeration
+(_enumerate) serves both solvers: se_search runs it on an unbounded box,
+and the boxed solver's boxed_search on its box. A block's searches
+share the part of its state that depends on R alone (_search_levels).
 """
 
 from dataclasses import dataclass, field
@@ -24,6 +23,7 @@ from .linalg import (
     as_int64,
     givens_coeffs,
     householder_qr_min_pivot,
+    max_abs,
     require_finite,
     rotate_rows,
     round_half_away_int,
@@ -54,25 +54,16 @@ class ReducedProblem:
 
     ||y - H (Z z)||^2 - ||y_hat - R z||^2 is the same for every z: the
     squared part of y outside the column space of H, which changes no
-    search decision and is not kept. _levels is None unless a block
-    solve sets it to the search state _search_levels(R) that its columns
-    share.
+    search decision and is not kept. A block's y_hat is n-by-p.
     """
 
     R: np.ndarray
     Z: np.ndarray
     y_hat: np.ndarray
-    _levels: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self):
         return self.R.shape[0]
-
-    def column(self, j):
-        """Problem j of a block reduction, whose y_hat is n-by-p; it shares the block's _levels."""
-        col = ReducedProblem(R=self.R, Z=self.Z, y_hat=self.y_hat[:, j])
-        col._levels = self._levels
-        return col
 
 
 def _project(Q1, y):
@@ -144,8 +135,8 @@ def plll_reduce(H, y):
 
     y may also be an m-by-p block whose columns are right-hand sides.
     R and Z do not depend on y, so one reduction serves the block:
-    y_hat is then n-by-p, and column j equals the reduction of y[:, j]
-    alone bit for bit (see ReducedProblem.column).
+    y_hat is then n-by-p, and y_hat[:, j] equals the y_hat of the
+    reduction of y[:, j] alone bit for bit.
 
     The loop runs on Python lists, R as rows of floats and Z as columns of
     ints, since numpy's cost per call would dominate it. Each float is the
@@ -233,7 +224,7 @@ def _search_levels(R):
     return R.diagonal().tolist(), products, tails, z_float
 
 
-def _enumerate(rp, lower, upper, beta0, stats):
+def _enumerate(levels, y_hat, lower, upper, beta0, stats):
     """Zigzag enumeration of min ||y_hat - R z||^2 over lower <= z <= upper.
 
     The per-level bounds lower[k], upper[k] may be -inf and inf. A node
@@ -248,19 +239,16 @@ def _enumerate(rp, lower, upper, beta0, stats):
     point; a coordinate outside int64 raises a ValueError. stats, when
     given, gains the visited nodes and every accepted radius.
 
-    Per-level state lives in Python lists, as numpy scalar access would
-    dominate. The fixed coordinates are kept twice: exactly as ints, for
-    the answer, and in the float64 buffer of _search_levels(R), whose
-    views give each center its product with a row of R, the BLAS dot
-    that numpy's own cast of an int64 z would make. rp._levels carries
-    that state when a block solve built it once for all its columns;
-    otherwise the search builds its own. The top level's row is empty,
-    numpy's empty dot is +0.0 and y - 0.0 is y for every float, so that
-    center is y_hat / r_kk exactly.
+    Per-level state lives in Python lists, y_hat too, as numpy scalar
+    access would dominate. The fixed coordinates are kept twice: exactly
+    as ints, for the answer, and in the float64 buffer of levels, R's
+    _search_levels, whose views give each center its product with a row
+    of R, the BLAS dot that numpy's own cast of an int64 z would make.
+    The top level's row is empty, numpy's empty dot is +0.0 and y - 0.0
+    is y for every float, so that center is y_hat / r_kk exactly.
     """
-    n = rp.n
-    diag, products, tails, z_float = rp._levels or _search_levels(rp.R)
-    y_hat = rp.y_hat.tolist()
+    diag, products, tails, z_float = levels
+    n = len(diag)
     beta = float(beta0)
     best = None
     nodes = 0
@@ -334,31 +322,40 @@ def se_search(rp, beta0=np.inf, stats=None):
     order of distance from its center; on an exact tie the upper one
     comes first when the center lies at or above the level's first
     (rounded) integer, else the lower one.
+
+    A block rp (y_hat n-by-p, from plll_reduce) gives the n-by-p int64 Z
+    of its columns' vector searches, run in column order on one search
+    state for R; stats gains theirs in that order. It is None as soon as
+    a finite beta0 leaves a column without a point.
     """
-    return _enumerate(rp, [-np.inf] * rp.n, [np.inf] * rp.n, beta0, stats)
+    levels = _search_levels(rp.R)
+    unbounded = [-np.inf] * rp.n, [np.inf] * rp.n
+    if rp.y_hat.ndim == 1:
+        return _enumerate(levels, rp.y_hat.tolist(), *unbounded, beta0, stats)
+    Z = np.empty(rp.y_hat.shape, dtype=np.int64, order="F")
+    for j, y_hat in enumerate(rp.y_hat.T.tolist()):
+        z = _enumerate(levels, y_hat, *unbounded, beta0, stats)
+        if z is None:
+            return None
+        Z[:, j] = z
+    return Z
 
 
 def solve_ils(H, y, stats=None):
     """Globally minimize ||y - H x||_2^2 over integer vectors x.
 
     y is a vector or, as for plll_reduce, an m-by-p block of right-hand
-    sides: one reduction of H serves every column, each column gets its own
-    search, and every search adds its nodes to stats. Returns (x,
-    residual_sq) for a vector and, for a block, the n-by-p int64 X alone
-    with x_j in column j. H must have full column rank. A ValueError
-    reports an x_j with a coordinate outside int64.
+    sides, which share one reduction of H and one se_search (stats gains
+    every column's nodes). Returns (x, residual_sq) for a vector and the
+    n-by-p int64 X alone, x_j in column j, for a block. H must have full
+    column rank; a ValueError reports an x_j with a coordinate outside int64.
     """
     H, y = _read_problem(H, y)
     rp = plll_reduce(H, y if y.ndim == 2 else y[:, None])
-    rp._levels = _search_levels(rp.R)  # one search state for every column
-    Zs = np.empty((rp.n, rp.y_hat.shape[1]), dtype=np.int64, order="F")
-    for j in range(Zs.shape[1]):
-        Zs[:, j] = se_search(rp.column(j), stats=stats)
-    # Every z fits in int64, but Z z can leave it. The int64 product is
-    # exact when max row-sum |Z| * max |z| < 2**63; otherwise it is
-    # checked once in Python ints.
-    z_max = max(-int(Zs.min(initial=0)), int(Zs.max(initial=0)))
-    if int(np.abs(rp.Z).sum(axis=1).max()) * z_max >= 2**63:
+    Zs = se_search(rp, stats=stats)
+    # Z z can leave int64 though every z fits. The int64 product is exact
+    # when max row-sum |Z| * max |z| < 2**63, else it is checked in Python ints.
+    if int(np.abs(rp.Z).sum(axis=1).max()) * max_abs(Zs) >= 2**63:
         exact = rp.Z.astype(object) @ Zs.astype(object)
         if not all(-(2**63) <= v < 2**63 for v in exact.flat):
             raise ValueError("a solution coordinate is outside the int64 range")

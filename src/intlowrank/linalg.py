@@ -47,6 +47,11 @@ def as_int64(values, name):
     return arr.astype(np.int64)
 
 
+def max_abs(M):
+    """max |entry| of an integer array as a Python int, 0 if empty; np.abs wraps INT64_MIN."""
+    return max(-int(M.min()), int(M.max())) if M.size else 0
+
+
 def require_finite(arr, name):
     """A ValueError unless every entry of arr and its squared norm are finite float64."""
     with np.errstate(over="ignore"):  # a non-finite entry also makes the norm non-finite

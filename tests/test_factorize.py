@@ -160,6 +160,14 @@ class TestUpdates:
         x, _ = solve_ils(V.T.astype(float), a[0].astype(float))
         assert exact_residual_sq(V.T, a[0], U[0]) == exact_residual_sq(V.T, a[0], x)
 
+    # Every name but "ils" once ran the rounding baseline without a word.
+    @pytest.mark.parametrize("box", [None, BoxConstraint.uniform(2, 0, 2)], ids=["unboxed", "boxed"])
+    def test_unknown_method_rejected(self, box):
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            update_u(TRANSACTIONS, TRANSACTIONS_V0, box, method="bogus")
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            update_v(TRANSACTIONS.T, TRANSACTIONS_V0.T, box, method="bogus")
+
     def test_update_v_mirrors_update_u(self):
         rng = np.random.default_rng(32)
         A = rng.integers(0, 6, size=(5, 4))

@@ -10,6 +10,7 @@ from conftest import (
     random_full_rank,
 )
 
+from intlowrank import ils
 from intlowrank.exceptions import RankDeficientError
 from intlowrank.factorize import rounded_real_ls
 from intlowrank.boxed import BoxConstraint, boxed_search, mch_reduce, solve_ilsb
@@ -324,10 +325,9 @@ class TestSharedReduction:
             assert block.y_hat.shape == (n, Y.shape[1])
             for j in range(Y.shape[1]):
                 single = plll_reduce(H, Y[:, j])
-                col = block.column(j)
-                assert np.array_equal(col.R, single.R)
-                assert np.array_equal(col.Z, single.Z)
-                assert np.array_equal(col.y_hat, single.y_hat)
+                assert np.array_equal(block.R, single.R)
+                assert np.array_equal(block.Z, single.Z)
+                assert np.array_equal(block.y_hat[:, j], single.y_hat)
             is_permutation = (block.Z >= 0).all() and np.array_equal(block.Z @ block.Z.T, np.eye(n))
             swaps_seen |= not is_permutation
         # PLLL size-reduces only around swaps, so a Z that is not a
@@ -397,6 +397,10 @@ class TestBlockShape:
     def test_one_row_block_of_a_one_row_H(self, solve):
         X = solve([[2.0]], [[6.0, -4.0]])
         assert X.tolist() == [[3, -2]]
+
+    def test_empty_block(self, solve):
+        X = solve(self.H, np.zeros((3, 0)))
+        assert isinstance(X, np.ndarray) and X.shape == (2, 0) and X.dtype == np.int64
 
 
 class TestFiniteEntries:
@@ -623,3 +627,78 @@ class TestBlockColumnsIndependent:
             betas += [b.hex() for b in single.betas]
         assert block.nodes == nodes
         assert [b.hex() for b in block.betas] == betas
+
+
+def _bcd_block(seed, n, noise, p=40):
+    """A BCD half-sweep's block: the H of _bcd_row and p right-hand sides H x + noise."""
+    H, _ = _bcd_row(seed, n, noise)
+    rng = np.random.default_rng(seed + 1)
+    noise = rng.integers(-noise, noise + 1, size=(H.shape[0], p))
+    return H, H @ rng.integers(1, 5, size=(n, p)) + noise
+
+
+BLOCKS = {
+    "mixed": _mixed_block,
+    "bcd-1": lambda: _bcd_block(0, 1, 3),
+    "bcd-3": lambda: _bcd_block(257, 3, 3),
+    "bcd-6": lambda: _bcd_block(286, 6, 12),
+}
+
+
+class TestBlockSearch:
+    """se_search on a block reduction is its columns' vector searches, one call in all."""
+
+    @pytest.mark.parametrize("make", BLOCKS.values(), ids=BLOCKS.keys())
+    def test_columns_are_their_vector_searches(self, make):
+        H, Y = make()
+        block = SearchStats()
+        Z = se_search(plll_reduce(H, Y), stats=block)
+        assert Z.dtype == np.int64 and Z.shape == (H.shape[1], Y.shape[1])
+        nodes, betas = 0, []
+        for j in range(Y.shape[1]):
+            single = SearchStats()
+            z = se_search(plll_reduce(H, Y[:, j]), stats=single)
+            assert z.tolist() == Z[:, j].tolist()
+            nodes += single.nodes
+            betas += [b.hex() for b in single.betas]
+        assert block.nodes == nodes
+        assert [b.hex() for b in block.betas] == betas
+
+    def test_finite_beta0_bounds_every_column(self):
+        H, Y = _bcd_block(257, 3, 3)
+        rp = plll_reduce(H, Y)
+        Z = se_search(rp)
+        optima = []
+        for j in range(Y.shape[1]):
+            single = SearchStats()
+            se_search(plll_reduce(H, Y[:, j]), stats=single)
+            optima.append(single.betas[-1])
+        top, second = sorted(set(optima))[-1:-3:-1]
+        # Above every column's optimum each column keeps its answer; below one, the block has none.
+        assert np.array_equal(se_search(rp, beta0=2 * top + 1.0), Z)
+        assert se_search(rp, beta0=(top + second) / 2) is None
+        assert se_search(rp, beta0=0.0) is None
+
+    def test_empty_block(self):
+        rp = plll_reduce(EX21_H, np.zeros((2, 0)))
+        Z = se_search(rp)
+        assert Z.dtype == np.int64 and Z.shape == (2, 0)
+
+    @pytest.mark.parametrize("block", [True, False], ids=["block", "vector"])
+    def test_solve_ils_searches_once(self, block, monkeypatch):
+        # A counting wrapper installed through the module global, as the
+        # benchmark's tracer installs its own.
+        calls = []
+
+        def counting(rp, beta0=np.inf, stats=None):
+            before = stats.nodes
+            out = search(rp, beta0, stats)
+            calls.append(stats.nodes - before)
+            return out
+
+        search = ils.se_search
+        monkeypatch.setattr(ils, "se_search", counting)
+        H, Y = _mixed_block()
+        stats = SearchStats()
+        solve_ils(H, Y if block else Y[:, 1], stats=stats)
+        assert calls == [stats.nodes] and stats.nodes > 0

@@ -8,6 +8,7 @@ from intlowrank.linalg import (
     givens_coeffs,
     householder_qr,
     householder_qr_min_pivot,
+    max_abs,
     rotate_rows,
     round_half_away,
     round_half_away_int,
@@ -58,6 +59,18 @@ class TestAsInt64:
         assert as_int64([np.float32(2.0), np.int8(-3), 4], "x").tolist() == [2, -3, 4]
         with pytest.raises(ValueError, match="x 0.5 is not an integer"):
             as_int64([np.float32(0.5), 1], "x")
+
+
+class TestMaxAbs:
+    @pytest.mark.parametrize("values, expected", [
+        ([[-(2**63), 5]], 2**63),  # np.abs wraps this entry to itself
+        ([[3, -7], [2, 0]], 7),
+        ([[4, 9]], 9),
+        (np.zeros((3, 0), dtype=np.int64), 0),
+    ], ids=["int64-min", "negative", "positive", "empty"])
+    def test_largest_magnitude_as_python_int(self, values, expected):
+        out = max_abs(np.array(values, dtype=np.int64))
+        assert type(out) is int and out == expected
 
 
 class TestHouseholderQR:
