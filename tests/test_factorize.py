@@ -160,7 +160,7 @@ class TestUpdates:
         x, _ = solve_ils(V.T.astype(float), a[0].astype(float))
         assert exact_residual_sq(V.T, a[0], U[0]) == exact_residual_sq(V.T, a[0], x)
 
-    # Every name but "ils" once ran the rounding baseline without a word.
+    # An unknown name must not fall through to the rounding baseline.
     @pytest.mark.parametrize("box", [None, BoxConstraint.uniform(2, 0, 2)], ids=["unboxed", "boxed"])
     def test_unknown_method_rejected(self, box):
         with pytest.raises(ValueError, match="unknown method 'bogus'"):

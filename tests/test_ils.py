@@ -633,8 +633,8 @@ def _bcd_block(seed, n, noise, p=40):
     """A BCD half-sweep's block: the H of _bcd_row and p right-hand sides H x + noise."""
     H, _ = _bcd_row(seed, n, noise)
     rng = np.random.default_rng(seed + 1)
-    noise = rng.integers(-noise, noise + 1, size=(H.shape[0], p))
-    return H, H @ rng.integers(1, 5, size=(n, p)) + noise
+    E = rng.integers(-noise, noise + 1, size=(H.shape[0], p))
+    return H, H @ rng.integers(1, 5, size=(n, p)) + E
 
 
 BLOCKS = {
@@ -688,7 +688,7 @@ class TestBlockSearch:
     def test_solve_ils_searches_once(self, block, monkeypatch):
         # A counting wrapper installed through the module global, as the
         # benchmark's tracer installs its own.
-        calls = []
+        search, calls = ils.se_search, []
 
         def counting(rp, beta0=np.inf, stats=None):
             before = stats.nodes
@@ -696,7 +696,6 @@ class TestBlockSearch:
             calls.append(stats.nodes - before)
             return out
 
-        search = ils.se_search
         monkeypatch.setattr(ils, "se_search", counting)
         H, Y = _mixed_block()
         stats = SearchStats()
