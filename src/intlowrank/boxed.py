@@ -7,12 +7,9 @@ ranks columns by how costly their second-best in-box choice is. The
 search is the zigzag shared with ils.se_search, given the permuted box
 bounds; it prunes by its radius alone.
 
-The order depends on the right-hand side, so a block of them (solve_ilsb
-takes a vector y or an m-by-p block) shares only the QR of H. A wide
-block is reordered in one batched numpy pass (_reorder_block) and a
-narrow one per column on Python lists (_reorder), because numpy's fixed
-cost per call outweighs the batching for a few columns. Both give every
-column the same result, bit for bit.
+The order depends on the right-hand side, so a block of them shares only
+the QR of H: mch_reduce reduces a block in one call, and solve_ilsb is
+that call and a search per column.
 """
 
 import math
@@ -30,15 +27,11 @@ from .linalg import (
     round_half_away_int,
 )
 
-# A block of at least this many right-hand sides is reordered in one
-# batched pass (_reorder_block); below it numpy's fixed cost per call
-# outweighs the batching and each column takes the list pass (_reorder).
-# Measured: the two break even at about 8 columns for n = 3 and n = 6,
-# and at 10 the batched pass takes at most 0.84 of the list pass's time
-# for n from 1 to 12.
+# mch_reduce's narrowest batched block and the float64 bound of its box.
+# Measured: the two passes break even at about 8 columns for n = 3 and
+# n = 6, and at 10 the batched pass takes at most 0.84 of the list pass's
+# time for n from 1 to 12.
 _BLOCK_MIN = 10
-# The batched pass holds box bounds and their neighbours as float64, which
-# is exact up to 2**53, so a box with |bound| >= 2**53 goes per column.
 _FLOAT_EXACT = 2**53
 
 
@@ -136,12 +129,26 @@ def mch_reduce(H, y, box):
     already-fixed contributions removed), the winner rotates into the last
     open position, and the shifted columns are re-triangularized with
     Givens rotations. Z is a permutation matrix, so the returned
-    constraint set is the coordinate-permuted box. The pass runs on
-    Python lists, with the array form's results and R layout (_reorder).
+    constraint set is the coordinate-permuted box.
+
+    A vector y gives (rp, permuted_box). An m-by-p block gives a list of
+    p such pairs, column j's equal bit for bit to the reduction of
+    y[:, j] alone; the order depends on each column, so they share only
+    the QR of H. A block of at least _BLOCK_MIN columns is reordered in
+    one batched numpy pass (_reorder_block), unless a box bound reaches
+    _FLOAT_EXACT, past which float64 cannot hold it; any other y runs the
+    list pass (_reorder) per column, as numpy's fixed cost per call
+    outweighs the batching for a few columns.
     """
-    H, y = _read_problem(H, np.ravel(y))
+    H, y = _read_problem(H, y)
     _check_box(H, box)
-    return _reorder(_factor(H), y, box)
+    factors = _factor(H)
+    if y.ndim == 1:
+        return _reorder(factors, y, box)
+    exact = -_FLOAT_EXACT < box.lower.min() and box.upper.max() < _FLOAT_EXACT
+    if y.shape[1] >= _BLOCK_MIN and exact:
+        return _reorder_block(factors, y, box)
+    return [_reorder(factors, np.ascontiguousarray(col), box) for col in y.T]
 
 
 def _reorder(factors, y, box):
@@ -318,26 +325,15 @@ def boxed_search(rp, box, beta0=np.inf, stats=None):
 def solve_ilsb(H, y, box, stats=None):
     """Globally minimize ||y - H x||_2^2 over integer x inside the box.
 
-    y is a vector or an m-by-p block of right-hand sides. The column order
-    of the reduction depends on each one, so only the QR of H and R^{-T}
-    are shared. Each column is reordered as mch_reduce would: a block of at
-    least _BLOCK_MIN columns in one batched pass, a narrower one (or a box
-    with a bound float64 cannot hold exactly) one column at a time, as
-    numpy's cost per call outweighs the batching there; the results are the
-    same bit for bit. Then a search per column adds its nodes to stats.
-    Returns (x, residual_sq) for a vector and the n-by-p int64 X alone for
-    a block. H must have full column rank and the box must be nonempty.
+    y is a vector or, as for mch_reduce, an m-by-p block of right-hand
+    sides: one mch_reduce call reduces them all, then a search per column
+    adds its nodes to stats. Returns (x, residual_sq) for a vector and
+    the n-by-p int64 X alone for a block. H must have full column rank
+    and the box must be nonempty.
     """
     H, y = _read_problem(H, y)
-    _check_box(H, box)
-    Y = y if y.ndim == 2 else y[:, None]
-    factors = _factor(H)
-    X = np.empty((H.shape[1], Y.shape[1]), dtype=np.int64, order="F")
-    exact = -_FLOAT_EXACT < box.lower.min() and box.upper.max() < _FLOAT_EXACT
-    if X.shape[1] >= _BLOCK_MIN and exact:
-        reduced = _reorder_block(factors, Y, box)
-    else:
-        reduced = (_reorder(factors, np.ascontiguousarray(col), box) for col in Y.T)
+    reduced = mch_reduce(H, y if y.ndim == 2 else y[:, None], box)
+    X = np.empty((H.shape[1], len(reduced)), dtype=np.int64, order="F")
     for j, (rp, permuted_box) in enumerate(reduced):
         X[:, j] = rp.Z @ boxed_search(rp, permuted_box, stats=stats)
     return _answer(H, y, X)

@@ -152,7 +152,7 @@ def cmd_factorize(args):
     wall = time.perf_counter() - started
 
     final = result.final_residual
-    if result.U is not None and result.V is not None:
+    if result.U is not None:
         recomputed = residual(A, result.U, result.V)
         if final != recomputed:
             print(

@@ -241,14 +241,16 @@ class FactorizationConfig:
 class FactorizationResult:
     """Factors, exact per-half-sweep residuals, and the stopping cause.
 
-    U is None when rank deficiency struck before the first half-sweep
-    completed. half_sweep_nodes holds, for each residual_history entry,
-    the search nodes spent by the block update that produced it: the
-    nodes actually searched, once per distinct row (column) of A.
+    V is always set: the starting V, or the last one a half-sweep
+    produced. U is None when rank deficiency struck before the first
+    half-sweep completed. half_sweep_nodes holds, for each
+    residual_history entry, the search nodes spent by the block update
+    that produced it: the nodes actually searched, once per distinct row
+    (column) of A.
     """
 
     U: np.ndarray | None
-    V: np.ndarray | None
+    V: np.ndarray
     residual_history: list
     status: str
     sweeps: int

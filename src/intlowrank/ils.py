@@ -193,8 +193,9 @@ def lll_reduce(H, y):
     R satisfies |r_ij| <= |r_ii| / 2 (i < j) and, on adjacent pairs,
     r_{k-1,k-1}^2 <= r_{k-1,k}^2 + r_kk^2: PLLL's swap test already uses
     the size-reduced superdiagonal, and size reduction keeps the diagonal.
+    It touches only R and Z, so y may be a block, as for plll_reduce.
     """
-    rp = plll_reduce(H, np.ravel(y))
+    rp = plll_reduce(H, y)
     for j in range(1, rp.n):
         for i in range(j - 1, -1, -1):
             integer_gauss_transform(rp.R, rp.Z, i, j)

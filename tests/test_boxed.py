@@ -9,6 +9,7 @@ from conftest import (
     random_full_rank,
 )
 
+from intlowrank import boxed
 from intlowrank.boxed import (
     _BLOCK_MIN,
     BoxConstraint,
@@ -396,6 +397,70 @@ class TestSharedFactorization:
     def test_box_length_must_match_columns(self):
         with pytest.raises(ValueError, match="box has 3 coordinates, expected 2"):
             solve_ilsb(np.eye(2), np.ones((2, 1)), BoxConstraint.uniform(3, 0, 1))
+
+
+class TestBlockReduction:
+    """mch_reduce on a block gives each column's vector reduction, bit for bit."""
+
+    def _problem(self, width, box=None):
+        rng = np.random.default_rng(64)
+        H = random_full_rank(rng, 8, 4, lo=-9, hi=9).astype(float)
+        Y = rng.integers(-60, 61, size=(8, width)).astype(float)
+        if box is None:
+            lo = rng.integers(-4, 1, size=4)
+            box = BoxConstraint(lo, lo + rng.integers(0, 6, size=4))  # some singletons
+        return H, Y, box
+
+    def _assert_columns(self, H, Y, box):
+        """Returns how many columns' reductions moved a column of R."""
+        reduced = mch_reduce(H, Y, box)
+        assert isinstance(reduced, list) and len(reduced) == Y.shape[1]
+        moved = 0
+        for (rp, pbox), y in zip(reduced, Y.T):
+            ref, ref_box = mch_reduce(H, y, box)
+            for got, want in (
+                (rp.R, ref.R), (rp.Z, ref.Z), (rp.y_hat, ref.y_hat),
+                (pbox.lower, ref_box.lower), (pbox.upper, ref_box.upper),
+            ):
+                assert_bits_equal(got, want)
+            # The search's BLAS row products depend on R's memory layout.
+            assert rp.R.flags.f_contiguous == ref.R.flags.f_contiguous
+            assert rp.R.flags.c_contiguous == ref.R.flags.c_contiguous
+            moved += rp.R.flags.f_contiguous and not rp.R.flags.c_contiguous
+        return moved
+
+    # Below _BLOCK_MIN columns the list pass runs, from it the batched one.
+    @pytest.mark.parametrize("width", [0, 1, _BLOCK_MIN - 1, _BLOCK_MIN, 60])
+    def test_columns_match_vector_reductions(self, width):
+        moved = self._assert_columns(*self._problem(width))
+        if width == 60:
+            assert 0 < moved < width  # both layouts occur
+
+    def test_bound_beyond_float64_on_a_wide_block(self):
+        # The batched pass cannot hold 2**60 + 1 in float64, so every column takes the list pass.
+        box = BoxConstraint([-(2**60), 0, 2**60 + 1, -3], [2**60, 3, 2**60 + 3, 2])
+        self._assert_columns(*self._problem(60, box))
+
+    def test_one_column_block_is_a_block(self):
+        H, Y, box = self._problem(3)
+        [(rp, _)] = mch_reduce(H, Y[:, :1], box)
+        assert rp.y_hat.shape == (4,)
+
+    @pytest.mark.parametrize("block", [True, False], ids=["block", "vector"])
+    def test_solve_ilsb_reduces_once(self, block, monkeypatch):
+        # A counting wrapper installed through the module global, as the
+        # benchmark's tracer installs its own.
+        reduce, calls = boxed.mch_reduce, []
+
+        def counting(H, y, box):
+            out = reduce(H, y, box)
+            calls.append(len(out))
+            return out
+
+        monkeypatch.setattr(boxed, "mch_reduce", counting)
+        H, Y, box = self._problem(_BLOCK_MIN + 2)
+        solve_ilsb(H, Y if block else Y[:, 1], box)
+        assert calls == [Y.shape[1] if block else 1]
 
 
 class TestFiniteBound:

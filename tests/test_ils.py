@@ -334,6 +334,24 @@ class TestSharedReduction:
         # permutation proves that Givens rotations reached the block.
         assert swaps_seen
 
+    @pytest.mark.parametrize("seed", [None, 45], ids=["identity", "random"])
+    def test_lll_block_columns_match_vector_reductions_bit_for_bit(self, seed):
+        if seed is None:
+            H, Y = np.eye(3), np.ones((3, 2))
+        else:
+            # Seed 45 swaps in PLLL and size-reduces after it.
+            H, Y = self._block(np.random.default_rng(seed), 5, 3, 4)
+            assert not np.array_equal(lll_reduce(H, Y).Z, plll_reduce(H, Y).Z)
+        block = lll_reduce(H, Y)
+        assert block.y_hat.shape == (3, Y.shape[1])
+        for j in range(Y.shape[1]):
+            single = lll_reduce(H, Y[:, j])
+            assert_bits_equal(block.R, single.R)
+            assert_bits_equal(block.Z, single.Z)
+            assert_bits_equal(block.y_hat[:, j], single.y_hat)
+        # A 2-D y with one column is still a block.
+        assert lll_reduce(H, Y[:, :1]).y_hat.shape == (3, 1)
+
     def test_solve_many_matches_solve_per_column(self):
         rng = np.random.default_rng(42)
         for n in (1, 1, 2, 3, 4, 5):

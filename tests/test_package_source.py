@@ -5,9 +5,13 @@ import importlib
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 import intlowrank
+from intlowrank import boxed, factorize, ils
 
 PACKAGE = Path(intlowrank.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,15 +52,20 @@ def test_no_unused_imports():
     assert not found, f"unused imports: {', '.join(found)}"
 
 
+def _tracer_table(name):
+    """A constant of the benchmark's tracer, read from its source without importing it."""
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"), filename=str(TRACING))
+    return next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]
+    )
+
+
 def test_tracer_seams_resolve():
     # The benchmark's layer tracer wraps each (module, attribute) of its
     # SEAMS table; a refactor that drops one of those names blinds it.
-    tree = ast.parse(TRACING.read_text(encoding="utf-8"), filename=str(TRACING))
-    seams = next(
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SEAMS"]
-    )
+    seams = _tracer_table("SEAMS")
     assert len(seams) > 10
     missing = [
         f"{module}.{attr}"
@@ -64,6 +73,50 @@ def test_tracer_seams_resolve():
         if not callable(getattr(importlib.import_module(f"intlowrank.{module}"), attr, None))
     ]
     assert not missing, f"tracer seams missing from the package: {', '.join(missing)}"
+
+
+def test_tracer_reduction_and_search_seams_are_reached(monkeypatch):
+    # A seam that resolves but that no solve calls reads 0 in every traced
+    # run: the tracer counts a half-sweep's reductions at its REDUCTIONS
+    # seams. Each is wrapped here, as the tracer wraps it, with a counter.
+    wanted = set(_tracer_table("REDUCTIONS")) | set(_tracer_table("SEARCHES"))
+    calls = Counter()
+
+    def counting(fn, span):
+        def wrapper(*args, **kwargs):
+            calls[span] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module_name, attr, span in _tracer_table("SEAMS"):
+        if span in wanted:
+            module = importlib.import_module(f"intlowrank.{module_name}")
+            monkeypatch.setattr(module, attr, counting(getattr(module, attr), span))
+            wanted.discard(span)
+    assert not wanted, f"no seam for {', '.join(sorted(wanted))}"
+
+    H, y = np.array([[2.0, 1.0], [1.0, 3.0], [0.0, 1.0]]), np.array([1.0, 2.0, 3.0])
+    ils.solve_ils(H, y)
+    assert calls == {"ils.plll_reduce": 1, "ils.se_search": 1}
+    calls.clear()
+    boxed.solve_ilsb(H, y, boxed.BoxConstraint.uniform(2, 0, 3))
+    assert calls == {"boxed.mch_reduce": 1, "boxed.boxed_search": 1}
+
+    rng = np.random.default_rng(3)
+    A = rng.integers(1, 5, size=(12, 2)) @ rng.integers(1, 5, size=(2, 10))
+    A += rng.integers(-2, 3, size=A.shape)
+    for box, reduction, search in (
+        (None, "ils.plll_reduce", "ils.se_search"),
+        ((1, 4), "boxed.mch_reduce", "boxed.boxed_search"),
+    ):
+        calls.clear()
+        config = factorize.FactorizationConfig(rank=2, max_sweeps=3, box_u=box, box_v=box)
+        half_sweeps = len(factorize.bcd_factorize(A, config).residual_history)
+        assert half_sweeps == 6
+        assert set(calls) == {reduction, search}
+        assert calls[reduction] == half_sweeps  # one reduction per half-sweep
+        assert calls[search] >= half_sweeps
 
 
 def test_failing_property_test_leaves_the_session_running(tmp_path):
