@@ -108,11 +108,6 @@ def in_box_rounding(c, lo, hi):
     return nearest, (above if c >= nearest else below)
 
 
-def _check_box(H, box):
-    if box.n != H.shape[1]:
-        raise ValueError(f"box has {box.n} coordinates, expected {H.shape[1]}")
-
-
 def _factor(H):
     """QR of H and R^{-T}: the part of mch_reduce that does not depend on y."""
     Q1, R = householder_qr(H)
@@ -140,8 +135,7 @@ def mch_reduce(H, y, box):
     list pass (_reorder) per column, as numpy's fixed cost per call
     outweighs the batching for a few columns.
     """
-    H, y = _read_problem(H, y)
-    _check_box(H, box)
+    H, y = _read_problem(H, y, box)
     factors = _factor(H)
     if y.ndim == 1:
         return _reorder(factors, y, box)
@@ -308,18 +302,20 @@ def compute_bound_table(R, y_hat, box):
     return BoundTable(delta=delta, gamma=np.concatenate(([0.0], np.cumsum(delta)[:-1])))
 
 
-def boxed_search(rp, box, beta0=np.inf, stats=None):
+def boxed_search(rp, box, stats=None):
     """Depth-first zigzag enumeration over the box in reduced coordinates.
 
     The Schnorr-Euchner zigzag of ils.se_search (ils._enumerate), clipped
     to the box: backtracking skips levels whose interval is fully
     enumerated, which guarantees termination on every nonempty box.
-    Returns a global minimizer, or None when a finite beta0 admits no
-    point. Each call builds its own search state from rp.R, since the
-    reordering gives every right-hand side its own R.
+    Starts at an infinite radius, as se_search does, and returns a global
+    minimizer; a ValueError reports, as in _enumerate, a coordinate
+    outside int64 or a box whose every candidate's partial residual
+    overflows float64. Each call builds its own search state from rp.R,
+    since the reordering gives every right-hand side its own R.
     """
     lower, upper = box.lower.tolist(), box.upper.tolist()
-    return _enumerate(_search_levels(rp.R), rp.y_hat.tolist(), lower, upper, beta0, stats)
+    return _enumerate(_search_levels(rp.R), rp.y_hat.tolist(), lower, upper, stats)
 
 
 def solve_ilsb(H, y, box, stats=None):

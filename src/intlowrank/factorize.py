@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxed import BoxConstraint, _check_box, solve_ilsb
+from .boxed import BoxConstraint, solve_ilsb
 from .exceptions import NotOrthonormalError, RankDeficientError
 from .ils import SearchStats, _project, _read_problem, solve_ils
 from .linalg import as_int64, householder_qr, max_abs, round_half_away
@@ -75,9 +75,7 @@ def rounded_real_ls(H, y, box=None):
     box bound, so it takes the bound on its side; without a box it raises
     a ValueError.
     """
-    H, y = _read_problem(H, y)
-    if box is not None:
-        _check_box(H, box)
+    H, y = _read_problem(H, y, box)
     Q1, R = householder_qr(H)
     Y_hat = _project(Q1, y if y.ndim == 2 else y[:, None])
     W = np.empty(Y_hat.shape, order="F")

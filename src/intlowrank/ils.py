@@ -3,10 +3,12 @@
 The solver runs in two stages: a lattice reduction that re-expresses
 min ||y - H x||^2 as an upper-triangular problem min ||y_hat - R z||^2
 with x = Z z for a unimodular Z, followed by a depth-first zigzag
-enumeration that shrinks its squared-radius bound every time a better
-point is found and therefore terminates at a global minimizer. The
-reduction is partial LLL (plll_reduce); lll_reduce is the same reduction
-followed by a full size-reduction pass, which makes it LLL-reduced. The
+enumeration. The enumeration starts at an infinite radius, so its first
+leaf is the Babai point, and shrinks the radius at every better point
+found, so it always ends at a global minimizer; it fails only with a
+stated ValueError (_enumerate). The reduction is partial LLL
+(plll_reduce); lll_reduce is the same reduction followed by a full
+size-reduction pass, which makes it LLL-reduced. The
 reduction depends on H alone, so problems that share H share one
 reduction and differ only in y_hat: plll_reduce, se_search and
 solve_ils take a vector y or an m-by-p block of them. The enumeration
@@ -82,13 +84,14 @@ def _project(Q1, y):
     return Q1.T @ y
 
 
-def _read_problem(H, y):
+def _read_problem(H, y, box=None):
     """(H, y) of min ||y - H x||^2 as a 2-D float H and a float y.
 
     A 2-D y is an m-by-p block of right-hand sides and stays one; any other
     y is read as a vector. A ValueError reports an H with no columns, a y
-    whose row count differs from H's, or a y whose entries or squared norm
-    are not finite; H's QR checks the rest of H.
+    whose row count differs from H's, a y whose entries or squared norm
+    are not finite, or a box, when given, whose width differs from H's;
+    H's QR checks the rest of H.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -99,6 +102,8 @@ def _read_problem(H, y):
     if y.shape[0] != H.shape[0]:
         raise ValueError(f"H has {H.shape[0]} rows but y has {y.shape[0]}")
     require_finite(y, "y")
+    if box is not None and box.n != H.shape[1]:
+        raise ValueError(f"box has {box.n} coordinates, expected {H.shape[1]}")
     return H, y
 
 
@@ -225,20 +230,22 @@ def _search_levels(R):
     return R.diagonal().tolist(), products, tails, z_float
 
 
-def _enumerate(levels, y_hat, lower, upper, beta0, stats):
+def _enumerate(levels, y_hat, lower, upper, stats):
     """Zigzag enumeration of min ||y_hat - R z||^2 over lower <= z <= upper.
 
     The per-level bounds lower[k], upper[k] may be -inf and inf. A node
     is pruned when its partial residual reaches the radius: the best
-    residual so far, initially beta0. Each level starts at the clamped
+    residual so far, initially inf. Each level starts at the clamped
     rounding of its conditional center and then takes the nearest untried
     in-box integer, so distances are nondecreasing and a failed radius
     test ends the level. On an exact distance tie the upper neighbour
     wins when the center lies at or above the first candidate, else the
     lower one. Backtracking skips levels whose interval is exhausted.
-    Returns a global minimizer, or None when a finite beta0 admits no
-    point; a coordinate outside int64 raises a ValueError. stats, when
-    given, gains the visited nodes and every accepted radius.
+    Returns a global minimizer. A ValueError reports a coordinate outside
+    int64, or a search with no leaf: one whose every candidate has a
+    partial residual that overflows float64 to inf, which a box far from
+    the centers can force. stats, when given, gains the visited nodes and
+    every accepted radius.
 
     Per-level state lives in Python lists, y_hat too, as numpy scalar
     access would dominate. The fixed coordinates are kept twice: exactly
@@ -250,7 +257,7 @@ def _enumerate(levels, y_hat, lower, upper, beta0, stats):
     """
     diag, products, tails, z_float = levels
     n = len(diag)
-    beta = float(beta0)
+    beta = np.inf
     best = None
     nodes = 0
     c = [0.0] * n
@@ -308,37 +315,35 @@ def _enumerate(levels, y_hat, lower, upper, beta0, stats):
                 else:
                     if stats is not None:
                         stats.nodes += nodes
-                    return None if best is None else np.array(best, dtype=np.int64)
+                    if best is None:
+                        raise ValueError("the search's partial residuals all overflow float64")
+                    return np.array(best, dtype=np.int64)
     except OverflowError:  # a coordinate outside int64, or an infinite center
         raise ValueError("a search coordinate is outside the int64 range") from None
 
 
-def se_search(rp, beta0=np.inf, stats=None):
+def se_search(rp, stats=None):
     """Depth-first zigzag enumeration of min ||y_hat - R z||^2 over Z^n.
 
-    Returns a global minimizer z. With the default infinite initial bound
-    a minimizer always exists; a finite beta0 that excludes every lattice
-    point yields None. Bound comparisons are strict, so the sequence of
-    accepted bounds is strictly decreasing. Each level visits integers in
-    order of distance from its center; on an exact tie the upper one
-    comes first when the center lies at or above the level's first
-    (rounded) integer, else the lower one.
+    Returns a global minimizer z; _enumerate's ValueErrors are its only
+    failures. The search starts at an infinite radius, so its first leaf
+    is the Babai point, and every later leaf is strictly better: the
+    sequence of accepted bounds is strictly decreasing. Each level visits
+    integers in order of distance from its center; on an exact tie the
+    upper one comes first when the center lies at or above the level's
+    first (rounded) integer, else the lower one.
 
     A block rp (y_hat n-by-p, from plll_reduce) gives the n-by-p int64 Z
     of its columns' vector searches, run in column order on one search
-    state for R; stats gains theirs in that order. It is None as soon as
-    a finite beta0 leaves a column without a point.
+    state for R; stats gains theirs in that order.
     """
     levels = _search_levels(rp.R)
     unbounded = [-np.inf] * rp.n, [np.inf] * rp.n
     if rp.y_hat.ndim == 1:
-        return _enumerate(levels, rp.y_hat.tolist(), *unbounded, beta0, stats)
+        return _enumerate(levels, rp.y_hat.tolist(), *unbounded, stats)
     Z = np.empty(rp.y_hat.shape, dtype=np.int64, order="F")
     for j, y_hat in enumerate(rp.y_hat.T.tolist()):
-        z = _enumerate(levels, y_hat, *unbounded, beta0, stats)
-        if z is None:
-            return None
-        Z[:, j] = z
+        Z[:, j] = _enumerate(levels, y_hat, *unbounded, stats)
     return Z
 
 

@@ -463,23 +463,24 @@ class TestBlockReduction:
         assert calls == [Y.shape[1] if block else 1]
 
 
-class TestFiniteBound:
-    def _problem(self):
-        rng = np.random.default_rng(60)
-        H, y, lo, hi = make_ilsb_instance(rng, 3)
-        box = BoxConstraint(lo, hi)
-        return mch_reduce(H.astype(float), y.astype(float), box)
+class TestPartialResidualOverflow:
+    """A box far from every center can make each candidate's partial residual inf."""
 
-    def test_exclusive_initial_bound_returns_none(self):
-        rp, pbox = self._problem()
-        assert boxed_search(rp, pbox, beta0=0.0) is None
+    H = [[1e150]]
+    BOX = BoxConstraint([2**62], [2**63 - 1])
+    MESSAGE = "the search's partial residuals all overflow float64"
 
-    def test_generous_initial_bound_matches_default(self):
-        rp, pbox = self._problem()
-        z_default = boxed_search(rp, pbox)
-        z_bounded = boxed_search(rp, pbox, beta0=1e12)
-        resid = lambda z: float(np.sum((rp.y_hat - rp.R @ z) ** 2))  # noqa: E731
-        assert resid(z_default) == pytest.approx(resid(z_bounded))
+    @pytest.mark.parametrize("y", [[0.0], np.zeros((1, 3))], ids=["vector", "block"])
+    def test_solve_ilsb_states_the_overflow(self, y):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            solve_ilsb(self.H, y, self.BOX)
+
+    def test_boxed_search_states_the_overflow(self):
+        rp, pbox = mch_reduce(self.H, [0.0], self.BOX)
+        stats = SearchStats()
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            boxed_search(rp, pbox, stats=stats)
+        assert stats.nodes == 1  # the clamped lower bound; a failed radius test ends the level
 
 
 class TestFiniteEntries:

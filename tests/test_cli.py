@@ -130,6 +130,17 @@ class TestOutOfRangeEntry:
         assert main(["ils", str(tmp_path / "H.txt"), str(tmp_path / "y.txt")]) == EXIT_USAGE
         assert_one_error_line(capsys, "a search coordinate is outside the int64 range")
 
+    # Every candidate's partial residual, (1e150 * z)^2 for z >= 2**62, is inf.
+    def test_partial_residual_overflow_exit_code(self, tmp_path, capsys):
+        (tmp_path / "H.txt").write_text("1e150\n")
+        (tmp_path / "y.txt").write_text("0\n")
+        argv = ["ils", str(tmp_path / "H.txt"), str(tmp_path / "y.txt"),
+                "--box", str(2**62), str(2**63 - 1)]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the search's partial residuals all overflow float64\n"
+
     # Every reduced coordinate z fits in int64, but the optimum x = Z z,
     # about (1e19, -3e16), does not.
     def test_solution_beyond_int64_exit_code(self, tmp_path, capsys):

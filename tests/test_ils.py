@@ -206,7 +206,6 @@ class TestSESearch:
         stats = SearchStats()
         assert np.array_equal(se_search(rp, stats=stats), [4])  # 7/2 = 3.5 rounds away to 4
         assert stats.nodes == 1
-        assert se_search(rp, beta0=0.2) is None  # the best squared residual is 1.0
 
     def test_half_integer_tie_takes_upper_neighbour_first(self):
         from intlowrank.ils import ReducedProblem
@@ -224,14 +223,6 @@ class TestSESearch:
         assert np.array_equal(se_search(rp, stats=stats), [3, 4, 12])
         assert stats.nodes == 17
         assert stats.betas == [3.5, 2.5]
-
-    def test_finite_bound_can_exclude_everything(self):
-        from intlowrank.ils import ReducedProblem
-
-        rp = ReducedProblem(
-            R=np.eye(2), Z=np.eye(2, dtype=np.int64), y_hat=np.array([0.5, 0.5])
-        )
-        assert se_search(rp, beta0=0.1) is None
 
 
 class TestSolveILS:
@@ -682,21 +673,6 @@ class TestBlockSearch:
         assert block.nodes == nodes
         assert [b.hex() for b in block.betas] == betas
 
-    def test_finite_beta0_bounds_every_column(self):
-        H, Y = _bcd_block(257, 3, 3)
-        rp = plll_reduce(H, Y)
-        Z = se_search(rp)
-        optima = []
-        for j in range(Y.shape[1]):
-            single = SearchStats()
-            se_search(plll_reduce(H, Y[:, j]), stats=single)
-            optima.append(single.betas[-1])
-        top, second = sorted(set(optima))[-1:-3:-1]
-        # Above every column's optimum each column keeps its answer; below one, the block has none.
-        assert np.array_equal(se_search(rp, beta0=2 * top + 1.0), Z)
-        assert se_search(rp, beta0=(top + second) / 2) is None
-        assert se_search(rp, beta0=0.0) is None
-
     def test_empty_block(self):
         rp = plll_reduce(EX21_H, np.zeros((2, 0)))
         Z = se_search(rp)
@@ -708,9 +684,9 @@ class TestBlockSearch:
         # benchmark's tracer installs its own.
         search, calls = ils.se_search, []
 
-        def counting(rp, beta0=np.inf, stats=None):
+        def counting(rp, stats=None):
             before = stats.nodes
-            out = search(rp, beta0, stats)
+            out = search(rp, stats)
             calls.append(stats.nodes - before)
             return out
 
