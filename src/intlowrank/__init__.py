@@ -7,21 +7,8 @@ global optimality by lattice reduction plus a depth-first zigzag
 (Schnorr-Euchner) enumeration.
 """
 
-from .boxed import (
-    BoundTable,
-    BoxConstraint,
-    boxed_search,
-    compute_bound_table,
-    in_box_rounding,
-    mch_reduce,
-    solve_ilsb,
-)
-from .exceptions import (
-    EmptyBoxError,
-    MatrixParseError,
-    NotOrthonormalError,
-    RankDeficientError,
-)
+from .boxed import BoxConstraint, boxed_search, mch_reduce, solve_ilsb
+from .exceptions import EmptyBoxError, MatrixParseError, NotOrthonormalError, RankDeficientError
 from .factorize import (
     FactorizationConfig,
     FactorizationResult,
@@ -34,21 +21,11 @@ from .factorize import (
     update_u,
     update_v,
 )
-from .ils import (
-    ReducedProblem,
-    SearchStats,
-    integer_gauss_transform,
-    lll_reduce,
-    plll_reduce,
-    se_search,
-    solve_ils,
-)
-from .linalg import householder_qr, householder_qr_min_pivot
+from .ils import ReducedProblem, SearchStats, lll_reduce, plll_reduce, se_search, solve_ils
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundTable",
     "BoxConstraint",
     "EmptyBoxError",
     "FactorizationConfig",
@@ -60,13 +37,8 @@ __all__ = [
     "SearchStats",
     "bcd_factorize",
     "boxed_search",
-    "compute_bound_table",
-    "householder_qr",
-    "householder_qr_min_pivot",
-    "in_box_rounding",
     "init_most_frequent",
     "init_random",
-    "integer_gauss_transform",
     "lll_reduce",
     "mch_reduce",
     "plll_reduce",

@@ -33,6 +33,8 @@ from .linalg import (
 # time for n from 1 to 12.
 _BLOCK_MIN = 10
 _FLOAT_EXACT = 2**53
+# What both reordering passes raise for a center that is inf or nan.
+_CENTER_OVERFLOW = "a center of the box reordering overflows float64"
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,9 @@ def mch_reduce(H, y, box):
     one batched numpy pass (_reorder_block), unless a box bound reaches
     _FLOAT_EXACT, past which float64 cannot hold it; any other y runs the
     list pass (_reorder) per column, as numpy's fixed cost per call
-    outweighs the batching for a few columns.
+    outweighs the batching for a few columns. In either pass a center
+    that overflows float64 is a ValueError, and a column norm that
+    overflows gives that column a gap of 0.
     """
     H, y = _read_problem(H, y, box)
     factors = _factor(H)
@@ -172,6 +176,8 @@ def _reorder(factors, y, box):
                 s_ri = S_r[i]
                 center += y_r * s_ri
                 norm_sq += s_ri * s_ri
+            if not math.isfinite(center):
+                raise ValueError(_CENTER_OVERFLOW)
             nearest, second = in_box_rounding(center, lower[i], upper[i])
             # A forced coordinate has nothing to branch on.
             gap = math.inf if second is None else abs(center - second) / math.sqrt(norm_sq)
@@ -199,6 +205,7 @@ def _reorder(factors, y, box):
     return ReducedProblem(R=R_out, Z=Z, y_hat=np.array(y_hat)), BoxConstraint(lower, upper)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _reorder_block(factors, Y, box):
     """_reorder of every column of Y in one batched pass, bit for bit.
 
@@ -209,7 +216,8 @@ def _reorder_block(factors, Y, box):
     and norms summed in sequence from +0.0 one row at a time (never a BLAS
     product or a pairwise sum), and each rotation applied to whole rows of
     the columns it turns. Box bounds are float64 here, so every |bound|
-    must be below 2**53.
+    must be below 2**53. Overflow gives inf or nan without a warning, as
+    Python floats do in _reorder.
     """
     Q1, R_factor, S = factors
     n = R_factor.shape[0]
@@ -231,9 +239,11 @@ def _reorder_block(factors, Y, box):
         for r in range(kappa):  # the terms of rows r >= i, in sequence, for every i
             sums[:, :, : r + 1] += terms[:, :, r, : r + 1]
         center, norm_sq = sums
+        if not np.isfinite(center).all():
+            raise ValueError(_CENTER_OVERFLOW)
         lower, upper = B[:, 1, :kappa], B[:, 2, :kappa]
-        # in_box_rounding on every entry; + 0.0 turns -0.0 into the int's 0.0.
-        nearest = np.minimum(np.maximum(round_half_away(center), lower), upper) + 0.0
+        # in_box_rounding on every entry.
+        nearest = np.minimum(np.maximum(round_half_away(center), lower), upper)
         below, above = nearest - 1, nearest + 1
         d_below, d_above = np.abs(center - below), np.abs(above - center)
         tie = np.where(center >= nearest, above, below)
@@ -288,7 +298,9 @@ def compute_bound_table(R, y_hat, box):
     smaller endpoint is a valid lower bound, otherwise the term can vanish
     and the bound is zero. Endpoints within 1e-12 of zero count as
     sign-straddling. The solver does not use the table: on the problems
-    it has been measured on, the bounds almost never prune a node.
+    it has been measured on, the bounds almost never prune a node. It
+    stays only as a seam that the benchmark's tracer (perfbench/tracing.py)
+    names, and goes when the tracer stops naming it.
     """
     R, y_hat = np.asarray(R, dtype=float), np.asarray(y_hat, dtype=float).ravel()
     lower, upper = box.lower.astype(float), box.upper.astype(float)

@@ -212,20 +212,18 @@ def _search_levels(R):
 
     Returns (diag, products, tails, z_float): R's diagonal as floats, a
     float64 buffer for a search's fixed coordinates, and per level k
-    below the top the view tails[k] = z_float[k+1:] and products[k],
-    where products[k](tails[k]) is R[k, k+1:] @ z_float[k+1:] in every
-    bit. It is the row view's .dot, the matmul's numpy DOUBLE_dot on the
-    same memory, except on the one-term row, which keeps the matmul:
-    .dot reads one-element arrays as scalars and keeps a -0.0 product
-    that the matmul's 0.0 + turns into +0.0. A level reads only entries
-    its own search wrote on the way down, so searches may take turns on
-    one state, as a block's columns do, but not run on it at once.
+    below the top the view tails[k] = z_float[k+1:] and the row view's
+    products[k] = R[k, k+1:].dot. products[k](tails[k]) is the matmul's
+    numpy DOUBLE_dot on the same memory, so it equals R[k, k+1:] @
+    tails[k] in every bit but a zero's sign, which no search decision
+    reads: rounding, the tie flag and the distances treat +0.0 and -0.0
+    alike. A level reads only entries its own search wrote on the way
+    down, so searches may take turns on one state, as a block's columns
+    do, but not run on it at once.
     """
     n = R.shape[0]
     z_float = np.zeros(n)
-    products = [R[k, k + 1 :].dot for k in range(n - 2)]
-    if n > 1:
-        products.append(R[n - 2, n - 1 :].__matmul__)
+    products = [R[k, k + 1 :].dot for k in range(n - 1)]
     tails = [z_float[k + 1 :] for k in range(n - 1)]
     return R.diagonal().tolist(), products, tails, z_float
 

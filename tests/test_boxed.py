@@ -483,6 +483,39 @@ class TestPartialResidualOverflow:
         assert stats.nodes == 1  # the clamped lower bound; a failed radius test ends the level
 
 
+class TestReorderingOverflow:
+    """The list and the batched reordering meet float64 overflow alike.
+
+    With 1e-200 H and y = 1e150 [1, 1, 0] the real solution is
+    1e350 [1, 0], so the centers overflow to inf. With 1e-160 H and
+    y = 1e-160 [2, 5, 0] it is [2, 3], but R^-1's entries, about 1e160,
+    overflow when squared into a column norm.
+    """
+
+    H = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+    BOX = BoxConstraint.uniform(2, -3, 3)
+    WIDTHS = [None, 3, _BLOCK_MIN + 2]  # a vector, then blocks for the list and batched pass
+    IDS = ["vector", "list-block", "batched-block"]
+
+    @staticmethod
+    def _rhs(y, width):
+        return y if width is None else np.tile(y[:, None], (1, width))
+
+    @pytest.mark.parametrize("width", WIDTHS, ids=IDS)
+    def test_infinite_center_is_stated(self, width):
+        y = self._rhs(np.array([1e150, 1e150, 0.0]), width)
+        with pytest.raises(ValueError, match="a center of the box reordering overflows float64"):
+            mch_reduce(1e-200 * self.H, y, self.BOX)
+
+    def test_norm_overflow_gives_the_same_answer_without_a_warning(self):
+        y = 1e-160 * np.array([2.0, 5.0, 0.0])
+        x, _ = solve_ilsb(1e-160 * self.H, y, self.BOX)
+        assert x.tolist() == [2, 3]
+        for width in self.WIDTHS[1:]:  # every warning is an error in this suite
+            X = solve_ilsb(1e-160 * self.H, self._rhs(y, width), self.BOX)
+            assert X.T.tolist() == [[2, 3]] * width
+
+
 class TestFiniteEntries:
     def test_nan_rejected(self):
         box = BoxConstraint.uniform(2, 0, 3)

@@ -141,6 +141,14 @@ class TestOutOfRangeEntry:
         assert captured.out == ""
         assert captured.err == "error: the search's partial residuals all overflow float64\n"
 
+    # The box reordering's centers, about 1e350, overflow float64.
+    def test_reordering_center_overflow_exit_code(self, tmp_path, capsys):
+        (tmp_path / "H.txt").write_text("1e-200 0\n1e-200 1e-200\n0 0\n")
+        (tmp_path / "y.txt").write_text("1e150\n1e150\n0\n")
+        argv = ["ils", str(tmp_path / "H.txt"), str(tmp_path / "y.txt"), "--box", "-3", "3"]
+        assert main(argv) == EXIT_USAGE
+        assert_one_error_line(capsys, "a center of the box reordering overflows float64")
+
     # Every reduced coordinate z fits in int64, but the optimum x = Z z,
     # about (1e19, -3e16), does not.
     def test_solution_beyond_int64_exit_code(self, tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Checks on the package source and the test configuration."""
 
 import ast
+import contextlib
 import importlib
+import io
 import subprocess
 import sys
 import textwrap
@@ -16,6 +18,32 @@ from intlowrank import boxed, factorize, ils
 PACKAGE = Path(intlowrank.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
+
+
+def test_public_names_resolve():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("**Public API.**", 1)[1].split("Other helpers", 1)[0]
+    assert sorted(listed.split("`")[3::2]) == sorted(intlowrank.__all__)  # after `intlowrank`
+    assert len(intlowrank.__all__) == len(set(intlowrank.__all__)) == 24
+    assert [name for name in intlowrank.__all__ if not hasattr(intlowrank, name)] == []
+    # Helpers that the tests and the benchmark's tracer reach in their modules.
+    internal = ["integer_gauss_transform", "in_box_rounding", "householder_qr",
+                "householder_qr_min_pivot", "BoundTable", "compute_bound_table"]
+    assert [name for name in internal if hasattr(intlowrank, name)] == []
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "from intlowrank import " in code
+    namespace = {}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["x"].tolist() == [2, 0]
+    assert namespace["residual_sq"] == 1.0
+    assert out.getvalue() == "1 converged\n"
 
 
 def test_package_has_no_assert():
