@@ -7,9 +7,12 @@ residual never increases from one half-sweep to the next. A half-sweep
 reduces that shared matrix once: without a box one lattice reduction
 serves every row, and with a box, whose column order depends on each
 row, one QR factorization does, and many rows are reordered in one
-batched pass. Equal rows of A (columns, for a V update) are the same
-problem, so each distinct one is solved once and the search nodes
-counted are the nodes actually searched. A rounded
+batched pass. A box of at most 1,024 points needs no reduction for most
+rows: every point is scored exactly, and only rows whose optimum two
+points share are reduced and searched. Equal rows of A (columns, for a
+V update) are the same problem, so each distinct one is solved once and
+the search nodes counted are the nodes actually searched, none for a
+scored row. A rounded
 real-least-squares variant of the sweep is provided as the comparison
 baseline; it carries no optimality guarantee.
 """
@@ -244,7 +247,7 @@ class FactorizationResult:
     half-sweep completed. half_sweep_nodes holds, for each
     residual_history entry, the search nodes spent by the block update
     that produced it: the nodes actually searched, once per distinct row
-    (column) of A.
+    (column) of A, and 0 for a half-sweep whose every row was scored.
     """
 
     U: np.ndarray | None

@@ -43,11 +43,14 @@ class SearchStats:
     """Search counters, summed over every search they are passed to.
 
     nodes is the total number of visited nodes; betas holds each
-    search's accepted bounds, in the order the searches ran.
+    search's accepted bounds, in the order the searches ran. scored is
+    the number of right-hand sides that the boxed solver answered by
+    scoring every point of a small box, with no search, so no nodes.
     """
 
     nodes: int = 0
     betas: list = field(default_factory=list)
+    scored: int = 0
 
 
 @dataclass

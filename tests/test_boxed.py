@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from conftest import (
@@ -12,6 +14,7 @@ from conftest import (
 from intlowrank import boxed
 from intlowrank.boxed import (
     _BLOCK_MIN,
+    _SCORE_MAX,
     BoxConstraint,
     _factor,
     _reorder,
@@ -356,31 +359,47 @@ class TestSharedFactorization:
     """The block solver must reproduce every one-column solve exactly."""
 
     # Narrower blocks are reordered per column, wider ones in one batched pass.
+    # Integer targets are scored where the box is small; half-integer ones never are.
     @pytest.mark.parametrize("width", [7, _BLOCK_MIN])
     def test_solve_many_matches_solve_per_column(self, width):
+        for offset in (0.0, 0.5):
+            self._match_columns(width, offset)
+
+    def _match_columns(self, width, offset):
         rng = np.random.default_rng(43)
+        scored_blocks = 0
         for n in (1, 1, 2, 3, 4, 5):
             H = random_full_rank(rng, n + 2, n, lo=-20, hi=20).astype(float)
-            Y = rng.integers(-60, 61, size=(n + 2, width)).astype(float)
+            Y = rng.integers(-60, 61, size=(n + 2, width)) + offset
             lo = rng.integers(-4, 1, size=n)
             box = BoxConstraint(lo, lo + rng.integers(0, 6, size=n))  # some singletons
             block = SearchStats()
             X = solve_ilsb(H, Y, box, stats=block)
             assert X.shape == (n, width)
-            nodes, betas = 0, []
+            summed = SearchStats()
             for j in range(width):
                 single, direct = SearchStats(), SearchStats()
                 x, _ = solve_ilsb(H, Y[:, j], box, stats=single)
                 assert np.array_equal(X[:, j], x)
-                # The one-column solve is the reduction and search of the vector.
+                # The one-column solve is the reduction and search of the vector,
+                # unless an integer target's small box has one optimum: that is
+                # scored, with no search.
                 rp, pbox = mch_reduce(H, Y[:, j], box)
                 assert np.array_equal(x, rp.Z @ boxed_search(rp, pbox, stats=direct))
-                assert (single.nodes, single.betas) == (direct.nodes, direct.betas)
-                nodes += single.nodes
-                betas += single.betas
-            # The block's stats sum the columns' searches, in column order.
-            assert block.nodes == nodes
-            assert block.betas == betas
+                scored = (
+                    offset == 0.0
+                    and _box_size(box) <= _SCORE_MAX
+                    and len(_box_optima(H, Y[:, j], box)) == 1
+                )
+                searched = SearchStats() if scored else direct
+                assert single == SearchStats(searched.nodes, searched.betas, int(scored))
+                summed.nodes += single.nodes
+                summed.betas += single.betas
+                summed.scored += single.scored
+            # The block's stats sum the columns' searches, in column order, and their scores.
+            assert block == summed
+            scored_blocks += summed.scored > 0
+        assert scored_blocks == (0 if offset else 6 if width == _BLOCK_MIN else 5)
 
     def test_bounds_beyond_float64_integers_go_per_column(self):
         # 2**60 + 1 and 2**60 + 3 round to 2**60 in float64, so a batched
@@ -458,9 +477,201 @@ class TestBlockReduction:
             return out
 
         monkeypatch.setattr(boxed, "mch_reduce", counting)
-        H, Y, box = self._problem(_BLOCK_MIN + 2)
+        # 7**4 points, more than the scorer takes: every column is searched.
+        H, Y, box = self._problem(_BLOCK_MIN + 2, BoxConstraint.uniform(4, -3, 3))
         solve_ilsb(H, Y if block else Y[:, 1], box)
         assert calls == [Y.shape[1] if block else 1]
+
+    @pytest.mark.parametrize("block", [True, False], ids=["block", "vector"])
+    def test_scored_solve_reduces_the_tied_columns_once(self, block, monkeypatch):
+        reduce, calls = boxed.mch_reduce, []
+
+        def recording(H, y, box):
+            calls.append(np.array(y))
+            return reduce(H, y, box)
+
+        monkeypatch.setattr(boxed, "mch_reduce", recording)
+        H, Y, box = _tie_problem(np.random.default_rng(65), _BLOCK_MIN + 2)
+        tied = [j for j, y in enumerate(Y.T) if len(_box_optima(H, y, box)) > 1]
+        assert 0 < len(tied) < Y.shape[1] and 0 not in tied
+        solve_ilsb(H, Y if block else Y[:, tied[0]], box)
+        want = tied if block else tied[:1]
+        assert [c.tolist() for c in calls] == [Y[:, want].tolist()]
+        # A column that one point alone takes is not reduced at all.
+        calls.clear()
+        solve_ilsb(H, np.delete(Y, tied, axis=1) if block else Y[:, 0], box)
+        assert calls == []
+
+
+def _box_size(box):
+    return int(np.prod((box.upper - box.lower + 1).astype(object)))
+
+
+def _box_optima(H, y, box):
+    """Every box point where the exact integer ||y - H x||^2 is least, by itertools.product."""
+    H = [[int(v) for v in row] for row in np.asarray(H)]
+    y = [int(v) for v in np.asarray(y)]
+    scores = {}
+    for x in itertools.product(*map(range, box.lower.tolist(), (box.upper + 1).tolist())):
+        scores[x] = sum((t - sum(h * v for h, v in zip(row, x))) ** 2 for row, t in zip(H, y))
+    least = min(scores.values())
+    return [list(x) for x, score in scores.items() if score == least]
+
+
+def _tie_problem(rng, width):
+    """H with orthogonal even columns, the box [-2, 2]^3 and targets H x + h_j / 2 that tie.
+
+    The target halfway between H x and H (x + e_j) is as far from both,
+    and no other box point is nearer. Column 0 and every third column are
+    H x itself, whose optimum x is unique.
+    """
+    H = np.vstack((2 * np.diag(rng.integers(1, 4, size=3)), np.zeros((1, 3), dtype=np.int64)))
+    X = rng.integers(-2, 2, size=(3, width))
+    Y = H @ X + H[:, rng.integers(0, 3, size=width)] // 2 * (np.arange(width) % 3 != 0)
+    return H.astype(float), Y.astype(float), BoxConstraint.uniform(3, -2, 2)
+
+
+class TestScoredBox:
+    """A box of at most _SCORE_MAX points is scored point by point, and only ties are searched."""
+
+    def _check(self, H, Y, box, monkeypatch):
+        """Checks solve_ilsb against the search and brute force; returns the tied columns."""
+        reduce, blocks = boxed.mch_reduce, []
+
+        def recording(H, y, box):
+            blocks.append(np.array(y))
+            return reduce(H, y, box)
+
+        monkeypatch.setattr(boxed, "mch_reduce", recording)
+        stats = SearchStats()
+        X = solve_ilsb(H, Y, box, stats=stats)
+        monkeypatch.undo()
+        tied, searches = [], SearchStats()
+        for j, y in enumerate(Y.T):
+            rp, pbox = mch_reduce(H, y, box)
+            optima = _box_optima(H, y, box)
+            if len(optima) > 1:
+                tied.append(j)
+            found = rp.Z @ boxed_search(rp, pbox, stats=searches if len(optima) > 1 else None)
+            assert np.array_equal(X[:, j], found)
+            assert X[:, j].tolist() in optima
+        # Exactly the tied columns are searched, as one block, and only their nodes count.
+        assert stats.scored + len(tied) == Y.shape[1]
+        assert [b.tolist() for b in blocks] == ([Y[:, tied].tolist()] if tied else [])
+        assert (stats.nodes, stats.betas) == (searches.nodes, searches.betas)
+        return tied
+
+    def test_random_boxes_up_to_the_limit(self, monkeypatch):
+        rng = np.random.default_rng(66)
+        sizes = set()
+        for widths in ([1], [1, 1, 1], [4] * 5, [32, 32], [1, 7, 1, 3], [2, 1, 5]):
+            sizes.add(int(np.prod(widths)))
+            for _ in range(3):
+                n = len(widths)
+                H = random_full_rank(rng, n + int(rng.integers(0, 3)), n, lo=-6, hi=6)
+                Y = rng.integers(-40, 41, size=(H.shape[0], 12))
+                lo = rng.integers(-3, 2, size=n)
+                box = BoxConstraint(lo, lo + np.array(widths) - 1)
+                self._check(H.astype(float), Y.astype(float), box, monkeypatch)
+        assert min(sizes) == 1 and max(sizes) == _SCORE_MAX
+
+    def test_bcd_shaped_products(self, monkeypatch):
+        # A half-sweep's problem: H = V^T and the targets rows of U V, exactly or nearly.
+        rng = np.random.default_rng(67)
+        for k in (2, 3, 5):
+            V = rng.integers(1, 5, size=(k, 30))
+            A = rng.integers(1, 5, size=(20, k)) @ V
+            A[10:] += rng.integers(-2, 3, size=(10, 30))
+            H, Y = V.T.astype(float), A.T.astype(float)
+            tied = self._check(H, Y, BoxConstraint.uniform(k, 1, 4), monkeypatch)
+            assert all(j >= 10 for j in tied)  # an exact product has one optimum
+
+    def test_columns_in_chunks(self):
+        # 1,024 points: _score takes 128 columns at a time, so 300 make three chunks.
+        rng = np.random.default_rng(71)
+        H = random_full_rank(rng, 3, 2).astype(float)
+        Y = rng.integers(-150, 151, size=(3, 300)).astype(float)
+        Y[:, 200:] = Y[:, :100]  # each column of the last chunk repeats one of the first
+        box = BoxConstraint([-16, -15], [15, 16])
+        assert _box_size(box) == _SCORE_MAX and boxed._SCORE_FLOATS // _SCORE_MAX == 128
+        block = SearchStats()
+        X = solve_ilsb(H, Y, box, stats=block)
+        summed = SearchStats()
+        for j, y in enumerate(Y.T):
+            assert np.array_equal(X[:, j], solve_ilsb(H, y, box, stats=summed)[0])
+        assert block == summed and block.scored > 250
+        assert np.array_equal(X[:, 200:], X[:, :100])
+
+    def test_forced_ties_are_searched(self, monkeypatch):
+        rng = np.random.default_rng(68)
+        for _ in range(4):
+            tied = self._check(*_tie_problem(rng, 24), monkeypatch)
+            assert tied == [j for j in range(24) if j % 3]
+
+
+class TestScoringFallback:
+    """Problems outside the scorer's range take the reduction and search, unchanged."""
+
+    def _searched(self, H, Y, box):
+        stats, direct = SearchStats(), SearchStats()
+        X = solve_ilsb(H, Y, box, stats=stats)
+        for j, y in enumerate(np.asarray(Y, dtype=float).T):
+            rp, pbox = mch_reduce(H, y, box)
+            assert np.array_equal(X[:, j], rp.Z @ boxed_search(rp, pbox, stats=direct))
+        assert stats == direct and stats.scored == 0
+        return X
+
+    @pytest.mark.parametrize("fractional", ["H", "y"])
+    def test_fractional_problem_is_searched(self, fractional):
+        rng = np.random.default_rng(69)
+        H = random_full_rank(rng, 5, 3).astype(float)
+        Y = rng.integers(-20, 21, size=(5, 8)).astype(float)
+        if fractional == "H":
+            H[0, 0] += 0.5
+        else:
+            Y[2, 3] += 0.25
+        self._searched(H, Y, BoxConstraint.uniform(3, 0, 3))
+
+    def test_float_exact_bound(self):
+        # m = k = P = 1: Hmax^2 + 2 Hmax Ymax must stay below 2**53.
+        H, box = [[2.0**26]], BoxConstraint([-1], [0])
+        inside = SearchStats()
+        assert solve_ilsb(H, [[2.0**25 - 1]], box, stats=inside).tolist() == [[0]]
+        assert inside == SearchStats(scored=1)
+        assert self._searched(H, [[2.0**25]], box).tolist() == [[0]]
+
+    def test_more_points_than_the_limit(self):
+        rng = np.random.default_rng(70)
+        H = random_full_rank(rng, 4, 2).astype(float)
+        Y = rng.integers(-30, 31, size=(4, 6)).astype(float)
+        box = BoxConstraint([0, 0], [40, 24])
+        assert _box_size(box) == _SCORE_MAX + 1
+        self._searched(H, Y, box)
+        stats = SearchStats()
+        solve_ilsb(H, Y, BoxConstraint([0, 0], [31, 31]), stats=stats)
+        assert stats.scored > 0
+
+    @pytest.mark.parametrize("width", [0, 3])
+    def test_rank_deficient_h_raises(self, width):
+        H = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])  # a repeated column
+        box = BoxConstraint.uniform(2, 0, 3)
+        assert boxed._scorable(H, np.ones((3, width)), box)
+        with pytest.raises(RankDeficientError):
+            solve_ilsb(H, np.ones((3, width)), box)
+
+    def test_reader_errors_come_first(self):
+        box = BoxConstraint.uniform(2, 0, 2)
+        with pytest.raises(ValueError, match="box has 2 coordinates, expected 3"):
+            solve_ilsb(np.eye(3), [1.0, 5.0, -3.0], box)
+        with pytest.raises(ValueError, match="H has 3 rows but y has 2"):
+            solve_ilsb(np.eye(3), [1.0, 5.0], box)
+
+    def test_empty_block(self):
+        H = np.array([[1.0, 2.0], [3.0, -1.0], [0.0, 2.0]])
+        stats = SearchStats()
+        X = solve_ilsb(H, np.zeros((3, 0)), BoxConstraint.uniform(2, 0, 3), stats=stats)
+        assert X.shape == (2, 0) and X.dtype == np.int64
+        assert stats == SearchStats()
 
 
 class TestPartialResidualOverflow:

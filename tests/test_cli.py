@@ -10,7 +10,7 @@ import pytest
 from conftest import RANK2_U, RANK2_V, TRANSACTIONS, exact_residual_sq
 
 import intlowrank
-from intlowrank import cli
+from intlowrank import boxed, cli
 from intlowrank.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_EMPTY_BOX,
@@ -49,7 +49,26 @@ class TestIlsCommand:
 
     def test_boxed(self, counterexample_files, capsys):
         assert main(["ils", *counterexample_files, "--box", "0", "3"]) == EXIT_OK
-        assert "x: 2 0" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "x: 2 0" in out
+        assert "search_nodes: 0" in out  # 16 box points, scored
+
+    def test_boxed_float_file_is_searched(self, tmp_path, capsys, monkeypatch):
+        def no_score(*args):
+            raise AssertionError("a float problem was scored")
+
+        monkeypatch.setattr(boxed, "_score", no_score)
+        H, y, box = np.array([[8.0, 1.5], [9.0, 2.0]]), np.array([16.0, 17.0]), (0, 3)
+        save_matrix(tmp_path / "H.txt", H)
+        save_matrix(tmp_path / "y.txt", y[:, None])
+        argv = ["ils", str(tmp_path / "H.txt"), str(tmp_path / "y.txt"), "--box", "0", "3"]
+        assert main(argv) == EXIT_OK
+        stats = intlowrank.SearchStats()
+        rp, pbox = boxed.mch_reduce(H, y, boxed.BoxConstraint.uniform(2, *box))
+        x = rp.Z @ boxed.boxed_search(rp, pbox, stats=stats)
+        out = capsys.readouterr().out
+        assert f"x: {x[0]} {x[1]}" in out
+        assert f"search_nodes: {stats.nodes}" in out and stats.nodes >= 1
 
     def test_parse_error_exit_code(self, tmp_path, counterexample_files):
         bad = tmp_path / "bad.txt"
@@ -321,7 +340,9 @@ class TestFactorizeCommand:
         assert report["final_residual"] == recomputed == 1
         assert report["residual_history"][-1] == 1
         assert report["status"] == "converged"
-        assert report["search_nodes_total"] >= 1
+        # Boxes of 9 and 25 points: every row's optimum is scored, with no search.
+        assert report["search_nodes_total"] == 0
+        assert report["half_sweep_nodes"] == [0, 0, 0, 0]
         assert len(report["half_sweep_nodes"]) == len(report["residual_history"])
         assert sum(report["half_sweep_nodes"]) == report["search_nodes_total"]
 

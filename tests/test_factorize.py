@@ -538,7 +538,11 @@ class TestBCDFactorize:
         with pytest.raises(ValueError, match="bound [02].5 is not an integer"):
             bcd_factorize(TRANSACTIONS, FactorizationConfig(rank=2, **box))
 
-    @pytest.mark.parametrize("box", [None, (0, 4)], ids=["unboxed", "boxed"])
+    # The [0, 4] box has 25 points, so its rows are scored; [-16, 16] has
+    # 1,089, more than the scorer takes, so its rows are searched.
+    @pytest.mark.parametrize(
+        "box", [None, (0, 4), (-16, 16)], ids=["unboxed", "boxed", "boxed-searched"]
+    )
     def test_half_sweep_nodes_logged(self, box):
         config = FactorizationConfig(rank=2, box_u=box, box_v=box)
         result = bcd_factorize(TRANSACTIONS, config)
@@ -552,7 +556,11 @@ class TestBCDFactorize:
                 U = update_u(TRANSACTIONS, V, cons, stats=stats)
             else:
                 V = update_v(TRANSACTIONS, U, cons, stats=stats)
-            assert logged == stats.nodes >= 1
+            # Five distinct rows (columns) a half-sweep: each is searched or scored.
+            if box == (0, 4):
+                assert logged == stats.nodes == 0 and stats.scored == 5
+            else:
+                assert logged == stats.nodes >= 1 and stats.scored == 0
         assert np.array_equal(U, result.U) and np.array_equal(V, result.V)
 
     # Both used to run on the entry wrapped to -2**63.

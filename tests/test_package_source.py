@@ -124,11 +124,13 @@ def test_tracer_reduction_and_search_seams_are_reached(monkeypatch):
             wanted.discard(span)
     assert not wanted, f"no seam for {', '.join(sorted(wanted))}"
 
+    # The boxed problems are ones the scorer declines, which do reach both seams:
+    # a fractional y, and a 33 x 33 box, more points than the scorer takes.
     H, y = np.array([[2.0, 1.0], [1.0, 3.0], [0.0, 1.0]]), np.array([1.0, 2.0, 3.0])
     ils.solve_ils(H, y)
     assert calls == {"ils.plll_reduce": 1, "ils.se_search": 1}
     calls.clear()
-    boxed.solve_ilsb(H, y, boxed.BoxConstraint.uniform(2, 0, 3))
+    boxed.solve_ilsb(H, y + 0.5, boxed.BoxConstraint.uniform(2, 0, 3))
     assert calls == {"boxed.mch_reduce": 1, "boxed.boxed_search": 1}
 
     rng = np.random.default_rng(3)
@@ -136,7 +138,7 @@ def test_tracer_reduction_and_search_seams_are_reached(monkeypatch):
     A += rng.integers(-2, 3, size=A.shape)
     for box, reduction, search in (
         (None, "ils.plll_reduce", "ils.se_search"),
-        ((1, 4), "boxed.mch_reduce", "boxed.boxed_search"),
+        ((-16, 16), "boxed.mch_reduce", "boxed.boxed_search"),
     ):
         calls.clear()
         config = factorize.FactorizationConfig(rank=2, max_sweeps=3, box_u=box, box_v=box)
