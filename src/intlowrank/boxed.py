@@ -8,13 +8,12 @@ search is the zigzag shared with ils.se_search, given the permuted box
 bounds; it prunes by its radius alone.
 
 The order depends on the right-hand side, so a block of them shares only
-the QR of H: mch_reduce reduces a block in one call, and solve_ilsb is
-that call and a search per column.
-
-A small box needs no search when H and y are integers: solve_ilsb then
-scores every point of the box exactly (_score), and only the columns
-whose least score more than one point takes go on to mch_reduce and the
-search, as one block.
+the QR of H: mch_reduce reduces a block in one call. A small box needs
+no search when H and y are integers: solve_ilsb scores every point of it
+exactly (_score) and sends only the columns whose least score more than
+one point takes to mch_reduce and a search each, as one block. Its one
+QR of H, after scoring, checks the rank: mch_reduce's, or householder_qr
+alone when no column ties.
 """
 
 import functools
@@ -421,22 +420,22 @@ def solve_ilsb(H, y, box, stats=None):
     columns, or all of them, go to one mch_reduce call and a search per
     column, which adds its nodes to stats. Both give the same answers
     wherever the optimum is unique. Returns (x, residual_sq) for a vector
-    and the n-by-p int64 X alone for a block. H must have full column
-    rank, a RankDeficientError otherwise from its QR on either path, and
-    the box must be nonempty.
+    and the n-by-p int64 X alone for a block. The box must be nonempty
+    and H of full column rank: H's one QR, after scoring (mch_reduce's,
+    or householder_qr's when no column ties), raises RankDeficientError
+    otherwise, before any search or change to stats.
     """
     H, y = _read_problem(H, y, box)
     Y = y if y.ndim == 2 else y[:, None]
-    X = np.empty((H.shape[1], Y.shape[1]), dtype=np.int64, order="F")
-    searched = list(range(Y.shape[1]))
-    if _scorable(H, Y, box):
-        householder_qr(H)  # the search path's rank check
-        searched = _score(H, Y, box, X)
-        if stats is not None:
-            stats.scored += Y.shape[1] - len(searched)
-        if not searched:
-            return _answer(H, y, X)
-    block = Y if len(searched) == Y.shape[1] else Y[:, searched]
-    for j, (rp, permuted_box) in zip(searched, mch_reduce(H, block, box)):
-        X[:, j] = rp.Z @ boxed_search(rp, permuted_box, stats=stats)
+    p = Y.shape[1]
+    X = np.empty((H.shape[1], p), dtype=np.int64, order="F")
+    tied = _score(H, Y, box, X) if _scorable(H, Y, box) else list(range(p))
+    if tied:  # mch_reduce's QR is the rank check
+        block = Y if len(tied) == p else Y[:, tied]
+        for j, (rp, permuted_box) in zip(tied, mch_reduce(H, block, box)):
+            X[:, j] = rp.Z @ boxed_search(rp, permuted_box, stats=stats)
+    else:
+        householder_qr(H)  # the rank check
+    if stats is not None:
+        stats.scored += p - len(tied)
     return _answer(H, y, X)

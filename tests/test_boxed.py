@@ -608,6 +608,44 @@ class TestScoredBox:
             tied = self._check(*_tie_problem(rng, 24), monkeypatch)
             assert tied == [j for j in range(24) if j % 3]
 
+    @pytest.mark.parametrize(
+        "y, box",
+        [
+            ([[2.0, 3.0], [1.0, -2.0], [3.0, 1.0]], (0, 3)),  # scored, no tie
+            ([[1.0], [0.0], [0.0]], (0, 3)),  # (0, 0) and (1, 0) tie
+            ([2.0, 1.0, 3.0], (0, 3)),  # a vector
+            (np.zeros((3, 0)), (0, 3)),  # an empty block
+            (np.zeros((3, 0)), (0, 40)),  # an empty block the scorer declines
+            ([[0.5], [1.0], [1.5]], (0, 3)),  # declined: not an integer
+        ],
+        ids=["untied", "tied", "vector", "empty", "empty-declined", "half-integer"],
+    )
+    def test_one_qr_per_solve(self, y, box, monkeypatch):
+        H = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        qr, calls = boxed.householder_qr, []
+
+        def counting(H):
+            calls.append(H.shape)
+            return qr(H)
+
+        monkeypatch.setattr(boxed, "householder_qr", counting)
+        solve_ilsb(H, y, BoxConstraint.uniform(2, *box))
+        assert calls == [(3, 2)]
+
+    def test_box_points_are_cached_read_only(self):
+        boxes = [((lo, 0), (lo + 1, 2)) for lo in range(-4, 5)]
+        first = boxed._box_points(*boxes[0])
+        for lower, upper in boxes[1:]:
+            boxed._box_points(lower, upper)
+        # The first box has left the cache of eight and is built again.
+        again = boxed._box_points(*boxes[0])
+        assert again is not first
+        expected = list(itertools.product(range(-4, -2), range(0, 3)))
+        assert [tuple(x) for x in again.tolist()] == expected == [tuple(x) for x in first.tolist()]
+        assert again.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            again[0, 0] = 7
+
 
 class TestScoringFallback:
     """Problems outside the scorer's range take the reduction and search, unchanged."""
@@ -658,6 +696,26 @@ class TestScoringFallback:
         assert boxed._scorable(H, np.ones((3, width)), box)
         with pytest.raises(RankDeficientError):
             solve_ilsb(H, np.ones((3, width)), box)
+
+    @pytest.mark.parametrize(
+        "H, hi, tied, message",
+        [
+            # (1, 0) and (0, 1) tie, so the tied block's reduction raises.
+            ([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], 3, [0], "8.184e-16 <= 5.292e-10"),
+            # (1, 0) alone is optimal, so the QR after scoring raises.
+            ([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]], 1, [], "1.637e-15 <= 8.367e-10"),
+        ],
+    )
+    @pytest.mark.parametrize("block", [False, True])
+    def test_rank_deficient_h_raises_after_scoring(self, H, hi, tied, message, block):
+        H, box = np.array(H), BoxConstraint.uniform(2, 0, hi)
+        y = H @ [1.0, 0.0]
+        assert boxed._score(H, y[:, None], box, np.empty((2, 1), dtype=np.int64)) == tied
+        stats = SearchStats()
+        with pytest.raises(RankDeficientError) as raised:
+            solve_ilsb(H, y[:, None] if block else y, box, stats=stats)
+        assert str(raised.value) == f"numerically rank deficient: min |r_ii| = {message}"
+        assert stats == SearchStats()
 
     def test_reader_errors_come_first(self):
         box = BoxConstraint.uniform(2, 0, 2)
