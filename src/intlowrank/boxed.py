@@ -56,7 +56,8 @@ _SCORE_FLOATS = 2**17
 class BoxConstraint:
     """Intervals lower_i <= x_i <= upper_i, with bounds checked and cast by linalg.as_int64.
 
-    The box keeps its own copy of the bounds, so a caller's later write cannot reach them.
+    The only check that a box is nonempty. The box keeps its own read-only copy of the bounds,
+    so a box stays as checked, and no column that shares it can change it.
     """
 
     lower: np.ndarray
@@ -69,6 +70,7 @@ class BoxConstraint:
             raise ValueError("bounds must be integer vectors of equal length")
         if (lower > upper).any():
             raise EmptyBoxError(f"empty interval at coordinate {int(np.argmax(lower > upper))}")
+        lower.flags.writeable = upper.flags.writeable = False
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
@@ -100,14 +102,12 @@ class BoundTable:
 
 
 def in_box_rounding(c, lo, hi):
-    """Nearest and second-nearest integers to c inside [lo, hi].
+    """Nearest and second-nearest integers to c inside [lo, hi], a BoxConstraint's interval.
 
     The nearest point is the clamped rounding of c (round_half_away_int);
     the second is the next closest in-box integer, or None for a singleton
     interval. Exact ties prefer the upper neighbour.
     """
-    if lo > hi:
-        raise EmptyBoxError(f"empty interval [{lo}, {hi}]")
     nearest = min(max(round_half_away_int(c), lo), hi)
     if lo == hi:
         return nearest, None
@@ -126,8 +126,9 @@ def in_box_rounding(c, lo, hi):
 
 
 def _factor(H):
-    """QR of H and R^{-T}: the part of mch_reduce that does not depend on y."""
+    """QR of H and R^{-T}, the part of mch_reduce that does not depend on y; R is read-only."""
     Q1, R = householder_qr(H)
+    R.flags.writeable = False
     S = np.linalg.solve(R, np.eye(R.shape[0])).T
     return Q1, R, S
 
@@ -152,7 +153,8 @@ def mch_reduce(H, y, box):
     list pass (_reorder) per column, as numpy's fixed cost per call
     outweighs the batching for a few columns. In either pass a center
     that overflows float64 is a ValueError, and a column norm that
-    overflows gives that column a gap of 0.
+    overflows gives that column a gap of 0. Every unmoved column's rp.R is
+    the QR's one read-only R; a read-only box may serve several columns.
     """
     H, y = _read_problem(H, y, box)
     factors = _factor(H)
@@ -346,11 +348,8 @@ def boxed_search(rp, box, stats=None):
 
 
 def _integer_max(M):
-    """max |entry| of a float array as a Python int, 0 if empty; None unless every entry is an integer."""
-    top = float(np.abs(M).max(initial=0.0))  # nan if an entry is
-    if not math.isfinite(top) or not (np.floor(M) == M).all():
-        return None
-    return int(top)
+    """max |entry| of a finite float array as a Python int, 0 if empty; None if one is fractional."""
+    return int(np.abs(M).max(initial=0.0)) if (np.floor(M) == M).all() else None
 
 
 def _scorable(H, Y, box):

@@ -91,10 +91,10 @@ def _read_problem(H, y, box=None):
     """(H, y) of min ||y - H x||^2 as a 2-D float H and a float y.
 
     A 2-D y is an m-by-p block of right-hand sides and stays one; any other
-    y is read as a vector. A ValueError reports an H with no columns, a y
-    whose row count differs from H's, a y whose entries or squared norm
-    are not finite, or a box, when given, whose width differs from H's;
-    H's QR checks the rest of H.
+    y is read as a vector. A ValueError reports, in this order, an H with no
+    columns, a y whose row count differs from H's, a non-finite entry or
+    squared norm of y, a box, when given, whose width differs from H's, and
+    a non-finite entry or squared norm of H: the QR kernels trust this check.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -107,6 +107,7 @@ def _read_problem(H, y, box=None):
     require_finite(y, "y")
     if box is not None and box.n != H.shape[1]:
         raise ValueError(f"box has {box.n} coordinates, expected {H.shape[1]}")
+    require_finite(H, "H")
     return H, y
 
 

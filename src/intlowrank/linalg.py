@@ -75,11 +75,10 @@ def _check_diagonal(R, scale):
 def householder_qr(H):
     """Thin QR factorization H = Q1 @ R of a full-column-rank matrix.
 
-    Q1 is m-by-n with orthonormal columns and R is n-by-n upper triangular.
-    Raises RankDeficientError when some |r_ii| <= RANK_TOL * ||H||_F.
+    H comes from ils._read_problem, which checks its finiteness. Q1 is m-by-n
+    with orthonormal columns and R is n-by-n upper triangular. Raises
+    RankDeficientError when m < n or some |r_ii| <= RANK_TOL * ||H||_F.
     """
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    require_finite(H, "H")
     m, n = H.shape
     if m < n:
         raise RankDeficientError(f"{m}x{n} matrix cannot have full column rank")
@@ -107,11 +106,10 @@ def _householder_vector(x):
 def householder_qr_min_pivot(H):
     """Thin QR with ascending-norm column pivoting: H[:, perm] = Q1 @ R.
 
-    At step i the remaining column whose orthogonal-complement norm is
-    smallest moves to position i, so small diagonals surface early.
+    H and the rank rules are householder_qr's. At step i the remaining column
+    whose orthogonal-complement norm is smallest moves to position i, so
+    small diagonals surface early.
     """
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    require_finite(H, "H")
     m, n = H.shape
     if m < n:
         raise RankDeficientError(f"{m}x{n} matrix cannot have full column rank")

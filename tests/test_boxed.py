@@ -94,6 +94,34 @@ class TestBoxConstraint:
         assert box.lower.tolist() == [2**53 + 1, 0]
 
 
+class TestReadOnly:
+    """A checked box, and the R that mch_reduce's unmoved columns share, cannot be written."""
+
+    def test_box_bounds(self):
+        box = BoxConstraint.uniform(2, 0, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            box.lower[0] = 5  # would make the box empty, past its checks
+        with pytest.raises(ValueError, match="read-only"):
+            box.upper[1] = -1
+        assert box.lower.tolist() == [0, 0] and box.upper.tolist() == [3, 3]
+
+    @pytest.mark.parametrize("width", [4, _BLOCK_MIN + 2], ids=["list", "batched"])
+    def test_shared_factor_and_permuted_boxes(self, width):
+        # Each column of H is ten times the one before, so at every stage the
+        # last open column has the largest gap and no reordering moves one.
+        rng = np.random.default_rng(7)
+        H = np.diag([1.0, 10.0, 100.0, 1000.0])
+        Y = H @ rng.integers(-3, 4, size=(4, width)) + 0.25
+        pairs = mch_reduce(H, Y, BoxConstraint.uniform(4, -3, 3))
+        (rp, permuted_box), (other, _) = pairs[:2]
+        assert rp.R is other.R
+        with pytest.raises(ValueError, match="read-only"):
+            rp.R[0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            permuted_box.lower[0] = 5
+        assert all(box.lower.tolist() == [-3] * 4 for _, box in pairs)
+
+
 class TestInBoxRounding:
     @pytest.mark.parametrize(
         "c,lo,hi,nearest,second",
@@ -124,10 +152,6 @@ class TestInBoxRounding:
             else:
                 rest = [v for v in values if v != nearest]
                 assert abs(c - second) == pytest.approx(min(abs(c - v) for v in rest))
-
-    def test_empty_interval(self):
-        with pytest.raises(EmptyBoxError):
-            in_box_rounding(1.0, 3, 2)
 
 
 def assert_boxed_reduction_contract(H, y, box, rp, permuted_box, rng, n_probe=15):
@@ -791,6 +815,35 @@ class TestFiniteEntries:
         H = np.array([[1.0, 0.0], [0.0, np.nan], [1.0, 1.0]])
         with pytest.raises(ValueError):
             solve_ilsb(H, np.zeros(3), box)
+
+    # The reader checks H's finiteness, after its other checks, before any
+    # scoring or QR: the same error on the scored path as on the searched one.
+    @pytest.mark.parametrize("entry, message", [
+        (np.nan, "H contains non-finite entries"),
+        (-np.inf, "H contains non-finite entries"),
+        (1e200, "the squared norm of H overflows float64"),
+    ])
+    @pytest.mark.parametrize("y", [[1.0, 2.0, 3.0], [1.5, 2.0, 3.0]], ids=["scored", "searched"])
+    @pytest.mark.parametrize("read", READERS.values(), ids=READERS.keys())
+    def test_non_finite_h_rejected(self, read, y, entry, message):
+        H = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, entry]])
+        with pytest.raises(ValueError, match=message):
+            read(H, y, BoxConstraint.uniform(2, 0, 3))
+
+    @pytest.mark.parametrize("y", [[1.0, 2.0, 3.0], [1.5, 2.0, 3.0]], ids=["scored", "searched"])
+    def test_non_finite_h_leaves_stats_unchanged(self, y):
+        stats = SearchStats()
+        with pytest.raises(ValueError, match="H contains non-finite entries"):
+            solve_ilsb(np.diag([1.0, np.inf, 1.0])[:, :2], y, BoxConstraint.uniform(2, 0, 3), stats)
+        assert stats == SearchStats()
+
+    @pytest.mark.parametrize("read", READERS.values(), ids=READERS.keys())
+    def test_box_width_comes_before_non_finite_h(self, read):
+        H = np.array([[np.nan, 1.0, 2.0], [0.0, 1.0, 2.0]])  # also wide
+        with pytest.raises(ValueError, match="box has 2 coordinates, expected 3"):
+            read(H, [1.0, 2.0], BoxConstraint.uniform(2, 0, 3))
+        with pytest.raises(ValueError, match="H contains non-finite entries"):
+            read(H, [1.0, 2.0], BoxConstraint.uniform(3, 0, 3))
 
     @pytest.mark.parametrize("read", READERS.values(), ids=READERS.keys())
     def test_inf_target_rejected(self, read):

@@ -417,6 +417,24 @@ class TestFiniteEntries:
         with pytest.raises(ValueError):
             solve_ils(np.array([[1.0, np.nan], [0.0, 1.0]]), np.zeros(2))
 
+    @pytest.mark.parametrize("entry, message", [
+        (np.nan, "H contains non-finite entries"),
+        (np.inf, "H contains non-finite entries"),
+        (-1e200, "the squared norm of H overflows float64"),
+    ])
+    @pytest.mark.parametrize("read", READERS.values(), ids=READERS.keys())
+    def test_non_finite_h_rejected(self, read, entry, message):
+        with pytest.raises(ValueError, match=message):
+            read(np.array([[1.0, entry], [0.0, 1.0], [1.0, 1.0]]), [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=message):  # a wide H too: finiteness comes first
+            read(np.array([[1.0, entry, 2.0], [0.0, 1.0, 2.0]]), [1.0, 2.0])
+
+    def test_non_finite_h_leaves_stats_unchanged(self):
+        stats = SearchStats()
+        with pytest.raises(ValueError, match="H contains non-finite entries"):
+            solve_ils(np.array([[1.0, np.nan], [0.0, 1.0]]), np.zeros(2), stats)
+        assert stats == SearchStats()
+
     @pytest.mark.parametrize("read", READERS.values(), ids=READERS.keys())
     def test_inf_target_rejected(self, read):
         with pytest.raises(ValueError, match="y contains non-finite entries"):

@@ -32,6 +32,16 @@ def test_public_names_resolve():
     assert [name for name in internal if hasattr(intlowrank, name)] == []
 
 
+def test_console_script_resolves():
+    # The [project.scripts] table, read as text since Python 3.10 has no tomllib.
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    table = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    scripts = dict(line.replace('"', "").split(" = ") for line in table.strip().splitlines())
+    assert scripts == {"intlowrank": "intlowrank.cli:run"}
+    module, attr = scripts["intlowrank"].split(":")
+    assert callable(getattr(importlib.import_module(module), attr))
+
+
 def test_readme_library_example_runs():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library example", 1)[1]
