@@ -52,12 +52,13 @@ _SCORE_MAX = 1024
 _SCORE_FLOATS = 2**17
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxConstraint:
     """Intervals lower_i <= x_i <= upper_i, with bounds checked and cast by linalg.as_int64.
 
     The only check that a box is nonempty. The box keeps its own read-only copy of the bounds,
-    so a box stays as checked, and no column that shares it can change it.
+    so a box stays as checked, and no column that shares it can change it. Boxes compare and
+    hash by identity.
     """
 
     lower: np.ndarray
@@ -104,9 +105,11 @@ class BoundTable:
 def in_box_rounding(c, lo, hi):
     """Nearest and second-nearest integers to c inside [lo, hi], a BoxConstraint's interval.
 
-    The nearest point is the clamped rounding of c (round_half_away_int);
-    the second is the next closest in-box integer, or None for a singleton
-    interval. Exact ties prefer the upper neighbour.
+    The nearest point is the clamped rounding of c (round_half_away_int).
+    The second is the neighbour of nearest on c's side (the upper one when
+    c >= nearest), or the other neighbour when that one leaves the box, or
+    None for a singleton interval: the next closest in-box integer, with
+    exact ties going to the upper one.
     """
     nearest = min(max(round_half_away_int(c), lo), hi)
     if lo == hi:
@@ -115,12 +118,6 @@ def in_box_rounding(c, lo, hi):
     if below < lo:
         return nearest, above
     if above > hi:
-        return nearest, below
-    d_below = abs(c - below)
-    d_above = abs(above - c)
-    if d_above < d_below:
-        return nearest, above
-    if d_below < d_above:
         return nearest, below
     return nearest, (above if c >= nearest else below)
 
@@ -262,10 +259,7 @@ def _reorder_block(factors, Y, box):
         # in_box_rounding on every entry.
         nearest = np.minimum(np.maximum(round_half_away(center), lower), upper)
         below, above = nearest - 1, nearest + 1
-        d_below, d_above = np.abs(center - below), np.abs(above - center)
-        tie = np.where(center >= nearest, above, below)
-        second = np.where(d_below < d_above, below, tie)
-        second = np.where(d_above < d_below, above, second)
+        second = np.where(center >= nearest, above, below)
         second = np.where(above > upper, below, second)
         second = np.where(below < lower, above, second)
         gap = np.where(lower == upper, np.inf, np.abs(center - second) / np.sqrt(norm_sq))

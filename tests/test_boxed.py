@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -93,6 +94,14 @@ class TestBoxConstraint:
         box = BoxConstraint([2**53 + 1, 0.0], [2**53 + 1, 5])
         assert box.lower.tolist() == [2**53 + 1, 0]
 
+    def test_compares_and_hashes_by_identity(self):
+        # Comparing the bound arrays raised numpy's "truth value ... is ambiguous".
+        box, twin = BoxConstraint.uniform(2, 0, 3), BoxConstraint.uniform(2, 0, 3)
+        assert not box == twin
+        assert box != twin
+        assert box == box
+        assert len({box, twin, box}) == 2
+
 
 class TestReadOnly:
     """A checked box, and the R that mch_reduce's unmoved columns share, cannot be written."""
@@ -132,6 +141,10 @@ class TestInBoxRounding:
             (-3.7, -2, 5, -2, -1),
             (2.5, 0, 4, 3, 2),
             (2.0, 0, 4, 2, 3),  # exact tie prefers the upper neighbour
+            # Past 2**53 a neighbour need not be a float, so no float distance may decide.
+            (-(2.0**53), -(2**60), 2**60, -(2**53), -(2**53) + 1),
+            (2.0**53, -(2**60), 2**60, 2**53, 2**53 + 1),
+            (-(2.0**54), -(2**60), 2**60, -(2**54), -(2**54) + 1),
         ],
     )
     def test_examples(self, c, lo, hi, nearest, second):
@@ -152,6 +165,17 @@ class TestInBoxRounding:
             else:
                 rest = [v for v in values if v != nearest]
                 assert abs(c - second) == pytest.approx(min(abs(c - v) for v in rest))
+
+        # Exactly, on quarter-integer centers and every box inside [-5, 5]: the
+        # second is the closest other in-box integer, ties going to the upper one.
+        for c, lo in itertools.product(np.arange(-6, 6.25, 0.25), range(-5, 6)):
+            for hi in range(lo, 6):
+                nearest, second = in_box_rounding(float(c), lo, hi)
+                values, c_exact = range(lo, hi + 1), Fraction(float(c))
+                assert abs(c_exact - nearest) == min(abs(c_exact - v) for v in values)
+                rest = [v for v in values if v != nearest]
+                want = min(rest, key=lambda v: (abs(c_exact - v), -v)) if rest else None
+                assert second == want
 
 
 def assert_boxed_reduction_contract(H, y, box, rp, permuted_box, rng, n_probe=15):
@@ -999,3 +1023,26 @@ class TestBlockPassOracle:
                 assert got_stats.nodes == want_stats.nodes
             mixed += 0 < moved < Y.shape[1]
         assert mixed > 0  # blocks in which some columns never move
+
+    def test_exact_centers_at_box_edges(self):
+        # A diagonal H of powers of two factors exactly, so the first stage's
+        # centers are C's entries: integers and half-integers at, just inside and
+        # just outside both edges of every coordinate's interval.
+        rng = np.random.default_rng(64)
+        scale = np.array([1.0, 2.0, 4.0, 8.0, 0.5])
+        box = BoxConstraint([-2, 0, 1, -3, 2], [3, 0, 4, -1, 5])
+        edges = [[e + d for e in (lo, hi) for d in (-0.5, 0.0, 0.5)]
+                 for lo, hi in zip(box.lower.tolist(), box.upper.tolist())]
+        C = np.array([rng.choice(e, size=_BLOCK_MIN + 14) for e in edges])
+        H = np.vstack((np.diag(scale), np.zeros((2, 5))))
+        Y = H @ C
+        factors = _factor(H)
+        Q1, _, S = factors
+        assert np.array_equal(S.T @ _project(Q1, Y), C)
+        for (rp, pbox), y in zip(_reorder_block(factors, Y, box), Y.T):
+            ref, ref_box = _reorder(factors, np.ascontiguousarray(y), box)
+            for got, want in (
+                (rp.Z, ref.Z), (rp.R, ref.R), (rp.y_hat, ref.y_hat),
+                (pbox.lower, ref_box.lower), (pbox.upper, ref_box.upper),
+            ):
+                assert_bits_equal(got, want)
