@@ -193,8 +193,15 @@ def _reorder(factors, y, box):
             if not math.isfinite(center):
                 raise ValueError(_CENTER_OVERFLOW)
             nearest, second = in_box_rounding(center, lower[i], upper[i])
-            # A forced coordinate has nothing to branch on.
-            gap = math.inf if second is None else abs(center - second) / math.sqrt(norm_sq)
+            # A forced coordinate has nothing to branch on. From 2**53 on, center
+            # is an integer float and the int second may not be a float, so the
+            # difference is taken exactly.
+            if second is None:
+                gap = math.inf
+            elif abs(center) < _FLOAT_EXACT:
+                gap = abs(center - second) / math.sqrt(norm_sq)
+            else:
+                gap = abs(int(center) - second) / math.sqrt(norm_sq)
             if gap > best_gap:
                 best_gap, best_i, best_fix = gap, i, nearest
         for r in range(best_i + 1):  # column best_i is zero below its diagonal

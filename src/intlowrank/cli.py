@@ -36,7 +36,7 @@ from .experiments import (
 )
 from .factorize import STATUS_RANK_DEFICIENT, FactorizationConfig, bcd_factorize, residual
 from .ils import SearchStats, solve_ils
-from .matrixio import as_vector, load_matrix, save_matrix
+from .matrixio import as_vector, load_matrix, read_matrix, save_matrix
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -102,11 +102,14 @@ def _fmt_num(v):
     return str(v)
 
 
-def _load_int_matrix(path):
-    M = load_matrix(path)
+def _require_int(M, path):
     if not np.issubdtype(M.dtype, np.integer):
         raise MatrixParseError(f"{path}: integer entries required")
     return M
+
+
+def _load_int_matrix(path):
+    return _require_int(load_matrix(path), path)
 
 
 def cmd_ils(args):
@@ -138,7 +141,8 @@ def cmd_factorize(args):
     if args.seed < 0:
         raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     a_path = Path(args.a_file)
-    A = _load_int_matrix(a_path)
+    data, A = read_matrix(a_path)  # one read, so the digest describes the matrix factorized
+    A = _require_int(A, a_path)
     config = FactorizationConfig(
         rank=args.rank,
         max_sweeps=args.max_sweeps,
@@ -166,7 +170,7 @@ def cmd_factorize(args):
     written = {name: f"{prefix}.{name}.txt" for name in factors}
     report = {
         "input": str(a_path),
-        "input_sha256": hashlib.sha256(a_path.read_bytes()).hexdigest(),
+        "input_sha256": hashlib.sha256(data).hexdigest(),
         "config": {
             "rank": args.rank,
             "max_sweeps": args.max_sweeps,
@@ -305,7 +309,9 @@ def cmd_experiment_compare(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built on first use and then shared: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="intlowrank",
         description="Integer least squares solvers and integer low-rank factorization.",
@@ -356,8 +362,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except RankDeficientError as exc:

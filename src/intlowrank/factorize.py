@@ -12,12 +12,14 @@ rows: every point is scored exactly, and only rows whose optimum two
 points share are reduced and searched. Equal rows of A (columns, for a
 V update) are the same problem, so each distinct one is solved once and
 the search nodes counted are the nodes actually searched, none for a
-scored row. A rounded
+scored row. A run finds A's distinct rows and columns once, and takes
+each half-sweep's exact residual from k-sized products. A rounded
 real-least-squares variant of the sweep is provided as the comparison
 baseline; it carries no optimality guarantee.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -96,23 +98,73 @@ def rounded_real_ls(H, y, box=None):
     return X if y.ndim == 2 else X[:, 0]
 
 
-def _solve_columns(H, Y, box, method, stats):
+class _Data:
+    """The facts about an int64 A that a run reads in every half-sweep, each derived once.
+
+    rows and columns are A's rows (for a U update) and columns (for a V
+    update) as (distinct, inverse): the float block of their first
+    occurrences, keyed by their bytes, in that order, and the map back
+    (None when all are distinct). Only the distinct block is kept, read-only.
+    """
+
+    def __init__(self, A):
+        self.A = A
+
+    @staticmethod
+    def _distinct(Y):
+        slots, first, inverse = {}, [], []
+        for j, col in enumerate(np.asfortranarray(Y).T):
+            key = col.tobytes()
+            if key not in slots:
+                slots[key] = len(first)
+                first.append(j)
+            inverse.append(slots[key])
+        distinct = Y if len(first) == Y.shape[1] else Y[:, first]
+        distinct.flags.writeable = False  # every half-sweep of the run reads it
+        return distinct, (None if distinct is Y else np.array(inverse))
+
+    @cached_property
+    def rows(self):
+        return self._distinct(self.A.T.astype(float))
+
+    @cached_property
+    def columns(self):
+        return self._distinct(self.A.astype(float, order="F"))
+
+    @cached_property
+    def max_abs(self):
+        return max_abs(self.A)
+
+    @cached_property
+    def norm_sq(self):
+        A = self.A if self.A.size * self.max_abs**2 < 2**63 else self.A.astype(object)
+        return int((A * A).sum())
+
+    def residual(self, U, V):
+        """residual(A, U, V) as ||A||^2 - 2<U^T A, V> + <U^T U, V V^T>, from k-sized products.
+
+        Computed in int64 when m n (max|A| + k u v)**2 < 2**63, with u and v
+        the larger of 1 and max|U|, max|V|: that bounds every partial sum of
+        every product. Otherwise in Python ints.
+        """
+        A = self.A
+        u, v = max(max_abs(U), 1), max(max_abs(V), 1)
+        if A.size * (self.max_abs + U.shape[1] * u * v) ** 2 >= 2**63:
+            A, U, V = (M.astype(object) for M in (A, U, V))
+        cross = int(((U.T @ A) * V).sum())
+        return self.norm_sq - 2 * cross + int(((U.T @ U) * (V @ V.T)).sum())
+
+
+def _solve_columns(H, block, box, method, stats):
     """X with column j minimizing ||Y[:, j] - H x_j||^2, one shared H for all j.
 
-    Equal columns of Y are one problem: only the first of each is solved,
-    and its x is copied to the others; the distinct ones go to the solver
-    as one block, and it returns X alone. Every solver handles one column
-    at a time against a reduction of H alone, so a subset of the columns
-    gets the same answers and searches as the whole block.
+    block is Y as _Data gives it, (distinct, inverse): only the distinct
+    columns are solved, as one block, and inverse copies each x to the
+    columns equal to it. Every solver handles one column at a time
+    against a reduction of H alone, so a subset of the columns gets the
+    same answers and searches as the whole block.
     """
-    slots, first, inverse = {}, [], []
-    for j, col in enumerate(np.asfortranarray(Y).T):
-        key = col.tobytes()
-        if key not in slots:
-            slots[key] = len(first)
-            first.append(j)
-        inverse.append(slots[key])
-    distinct = Y if len(first) == Y.shape[1] else Y[:, first]
+    distinct, inverse = block
     if method == "rounded_ls":
         X = rounded_real_ls(H, distinct, box)
     elif method != "ils":
@@ -121,11 +173,15 @@ def _solve_columns(H, Y, box, method, stats):
         X = solve_ils(H, distinct, stats)
     else:
         X = solve_ilsb(H, distinct, box, stats)
-    if distinct is Y:
+    if inverse is None:
         return X
-    full = np.empty((X.shape[0], Y.shape[1]), dtype=np.int64, order="F")
+    full = np.empty((X.shape[0], inverse.size), dtype=np.int64, order="F")
     full[:] = X[:, inverse]
     return full
+
+
+def _data(A):
+    return A if isinstance(A, _Data) else _Data(as_int_matrix(A))
 
 
 def update_u(A, V, box=None, method="ils", stats=None):
@@ -139,16 +195,16 @@ def update_u(A, V, box=None, method="ils", stats=None):
     rounding baseline, which does not search. Raises RankDeficientError
     when V^T lacks full column rank.
     """
-    A = as_int_matrix(A)
+    data = _data(A)
     V = as_int_matrix(V)
-    return _solve_columns(V.T, A.T.astype(float), box, method, stats).T
+    return _solve_columns(V.T, data.rows, box, method, stats).T
 
 
 def update_v(A, U, box=None, method="ils", stats=None):
     """Column-wise mirror of update_u: solves min ||A(:,j) - U v|| per column."""
-    A = as_int_matrix(A)
+    data = _data(A)
     U = as_int_matrix(U)
-    return _solve_columns(U, A.astype(float, order="F"), box, method, stats)
+    return _solve_columns(U, data.columns, box, method, stats)
 
 
 def init_most_frequent(A, k):
@@ -286,7 +342,9 @@ def bcd_factorize(A, config):
     """Alternate globally optimal updates of U, then V, until the iterates repeat.
 
     Stops when a full sweep leaves both factors unchanged, when the exact
-    residual reaches zero, or after max_sweeps. Rank collapse of an
+    residual reaches zero, or after max_sweeps. The facts about A that
+    every half-sweep reads are derived once per run, and each history
+    entry equals residual(A, U, V) but comes from k-sized products. Rank collapse of an
     iterate ends the run with the last consistent factors and status
     "rank_deficient_failure" rather than raising. A V-first run is this
     run on A.T with the factors transposed.
@@ -304,6 +362,7 @@ def bcd_factorize(A, config):
 
     U = None
     V = _initial_factor(A, k, config, box_v)
+    data = _Data(A)
     history = []
     nodes = []
     status = STATUS_MAX_SWEEPS
@@ -313,15 +372,15 @@ def bcd_factorize(A, config):
         for sweep in range(1, max_sweeps + 1):
             prev_u, prev_v = U, V
             stats = SearchStats()
-            U = update_u(A, V, box_u, method=config.method, stats=stats)
-            history.append(residual(A, U, V))
+            U = update_u(data, V, box_u, method=config.method, stats=stats)
+            history.append(data.residual(U, V))
             nodes.append(stats.nodes)
             if history[-1] == 0:
                 status = STATUS_CONVERGED
                 break
             stats = SearchStats()
-            V = update_v(A, U, box_v, method=config.method, stats=stats)
-            history.append(residual(A, U, V))
+            V = update_v(data, U, box_v, method=config.method, stats=stats)
+            history.append(data.residual(U, V))
             nodes.append(stats.nodes)
             unchanged = sweep > 1 and np.array_equal(U, prev_u) and np.array_equal(V, prev_v)
             if history[-1] == 0 or unchanged:

@@ -66,13 +66,22 @@ def parse_matrix(text):
         raise MatrixParseError(f"non-numeric entry: {exc}") from None
 
 
-def load_matrix(path):
+def read_matrix(path):
+    """(data, M): the bytes of the file at path and the matrix they hold, from one read.
+
+    A file that cannot be read, or is not UTF-8, is a MatrixParseError "cannot read ...".
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise MatrixParseError(f"cannot read {path}: {exc}") from None
-    return parse_matrix(text)
+    return data, parse_matrix(text)
+
+
+def load_matrix(path):
+    return read_matrix(path)[1]
 
 
 def format_matrix(M):

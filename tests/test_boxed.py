@@ -229,6 +229,18 @@ class TestMCHReduce:
         assert resid_sq == pytest.approx(exact_residual_sq(H, y, s))
 
 
+    @pytest.mark.parametrize("c", [2.0**53, 2.0**54, -(2.0**54)])
+    def test_list_pass_gap_is_exact_past_2_53(self, c):
+        # A vector y runs the list pass. Coordinate 0's center is +-c, an
+        # integer float, whose second choice is an integer next to it: a gap
+        # of 1. Coordinate 1's center +-0.25 has a gap of 0.75. The larger gap
+        # goes last, so coordinate 0 does. That neighbour, rounded to the
+        # float c, used to give a gap of 0.
+        H = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        box = BoxConstraint.uniform(2, -(2**60), 2**60)
+        rp, pbox = mch_reduce(H, np.array([c, 0.25, 0.0]), box)
+        assert rp.Z.tolist() == [[0, 1], [1, 0]]
+
 class TestBoundTable:
     def test_sign_straddling_gives_zero(self):
         rng = np.random.default_rng(23)

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from conftest import RANK2_U, RANK2_V, TRANSACTIONS, exact_residual_sq
 
 import intlowrank
-from intlowrank import boxed, cli
+from intlowrank import boxed, cli, matrixio
 from intlowrank.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_EMPTY_BOX,
@@ -385,6 +386,34 @@ class TestFactorizeCommand:
         assert "internal consistency failure" in capsys.readouterr().err
         assert not (tmp_path / "bad.report.json").exists()
 
+    def test_digest_is_of_the_bytes_parsed(self, tmp_path, capsys, monkeypatch):
+        # The file changes on disk right after it is parsed; the report must
+        # still describe the matrix that was factorized.
+        a = tmp_path / "A.txt"
+        save_matrix(a, TRANSACTIONS)
+        parsed = a.read_bytes()
+        parse = matrixio.parse_matrix
+
+        def parse_then_change(text):
+            M = parse(text)
+            save_matrix(a, TRANSACTIONS + 1)
+            return M
+
+        monkeypatch.setattr(matrixio, "parse_matrix", parse_then_change)
+        argv = ["factorize", str(a), "--rank", "2", "--out-prefix", str(tmp_path / "o")]
+        assert main(argv) == EXIT_OK
+        report = json.loads((tmp_path / "o.report.json").read_text())
+        assert report["input_sha256"] == hashlib.sha256(parsed).hexdigest()
+        assert a.read_bytes() != parsed
+
+    def test_non_utf8_message_is_unchanged(self, tmp_path, capsys):
+        a = tmp_path / "A.txt"
+        a.write_bytes(b"1 2\n\xff 4\n")
+        assert main(["factorize", str(a), "--rank", "1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == (f"error: cannot read {a}: 'utf-8' codec can't decode byte 0xff "
+                       "in position 4: invalid start byte\n")
+
     def test_rank_deficiency_is_in_band(self, tmp_path, capsys):
         a = tmp_path / "A.txt"
         v0 = tmp_path / "V0.txt"
@@ -409,6 +438,30 @@ class TestFactorizeCommand:
         assert rc == EXIT_USAGE
         assert "max_sweeps must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "run.V.txt").exists()
+
+
+class TestParserCache:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_an_option_does_not_carry_over(self, tmp_path, capsys):
+        a = tmp_path / "A.txt"
+        save_matrix(a, TRANSACTIONS)
+        configs = []
+        for extra in (["--box-u", "1", "2", "--seed", "5"], []):
+            argv = ["factorize", str(a), "--rank", "2", "--out-prefix", str(tmp_path / "o")]
+            assert main(argv + extra) == EXIT_OK
+            configs.append(json.loads((tmp_path / "o.report.json").read_text())["config"])
+        assert (configs[0]["box_u"], configs[0]["seed"]) == ([1, 2], 5)
+        assert (configs[1]["box_u"], configs[1]["seed"]) == (None, 0)
+
+    def test_experiment_box_default_is_kept(self, tmp_path, capsys):
+        for extra in (["--box", "0", "3"], []):
+            out = tmp_path / "d.csv"
+            argv = ["experiment-distribution", "--n", "5", "--rank", "1", "--trials", "1",
+                    "--out", str(out)]
+            assert main(argv + extra) == EXIT_OK
+        assert " box=[1,4] " in out.read_text()
 
 
 class TestDistributionCommand:

@@ -19,6 +19,7 @@ from conftest import (
     random_full_rank,
 )
 
+from intlowrank import factorize
 from intlowrank.boxed import BoxConstraint, solve_ilsb
 from intlowrank.exceptions import NotOrthonormalError, RankDeficientError
 from intlowrank.factorize import (
@@ -103,6 +104,18 @@ class TestResidual:
                 for j in range(n)
             )
             assert residual(A, U, V) == expected
+
+
+class TestRunResidual:
+    """The run's residual, from k-sized products, is residual() exactly."""
+
+    # m n (max|A| + k max|U| max|V|)**2 is 2 (2**15 u)**2, so 2**63 exactly at
+    # u = 2**16: the bound's first Python-int case, where the Gram term
+    # <U^T U, V V^T> = 2 (2**15 u)**2 reaches 2**63 and int64 would wrap.
+    @pytest.mark.parametrize("u", [2**16 - 1, 2**16], ids=["below-bound", "at-bound"])
+    def test_exact_on_both_sides_of_the_bound(self, u):
+        A, U, V = np.zeros((1, 2), dtype=np.int64), np.array([[u]]), np.array([[2**15, -(2**15)]])
+        assert factorize._Data(A).residual(U, V) == residual(A, U, V) == 2 * (2**15 * u) ** 2
 
 
 class TestRoundProjectOrthonormal:
@@ -602,6 +615,66 @@ class TestBCDFactorize:
             result = bcd_factorize(RANDOM_TEST_A, config)
             assert result.status == STATUS_CONVERGED
             assert result.final_residual <= bound
+
+
+class TestRunMatchesPublicHalfSweeps:
+    """bcd_factorize gives what a hand loop of the public updates and residual() gives."""
+
+    @staticmethod
+    def _hand_run(A, config):
+        k = config.rank
+        box_u = BoxConstraint.uniform(k, *config.box_u) if config.box_u else None
+        box_v = BoxConstraint.uniform(k, *config.box_v) if config.box_v else None
+        U, V, history, nodes, status = None, config.init, [], [], STATUS_MAX_SWEEPS
+        try:
+            for sweep in range(1, config.max_sweeps + 1):
+                prev = U, V
+                stats = SearchStats()
+                U = update_u(A, V, box_u, method=config.method, stats=stats)
+                history.append(residual(A, U, V))
+                nodes.append(stats.nodes)
+                if history[-1] == 0:
+                    status = STATUS_CONVERGED
+                    break
+                stats = SearchStats()
+                V = update_v(A, U, box_v, method=config.method, stats=stats)
+                history.append(residual(A, U, V))
+                nodes.append(stats.nodes)
+                same = sweep > 1 and np.array_equal(U, prev[0]) and np.array_equal(V, prev[1])
+                if history[-1] == 0 or same:
+                    status = STATUS_CONVERGED
+                    break
+        except RankDeficientError:
+            status = STATUS_RANK_DEFICIENT
+        return U, V, history, nodes, status
+
+    @pytest.mark.parametrize("box, method, repeated", [
+        (None, "ils", False),
+        ((0, 6), "ils", False),
+        ((0, 4), "rounded_ls", False),
+        (None, "ils", True),
+        ((0, 6), "ils", True),
+    ], ids=["unboxed", "boxed", "rounded_ls", "repeated-unboxed", "repeated-boxed"])
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_same_result(self, seed, box, method, repeated):
+        rng = np.random.default_rng(seed)
+        m, n, k = 16, 13, 3
+        A = rng.integers(1, 5, size=(m, k)) @ rng.integers(1, 5, size=(k, n))
+        A += rng.integers(-2, 3, size=A.shape)
+        if repeated:  # most rows and columns repeat one of a few
+            A = A[rng.integers(0, 5, size=m)][:, rng.integers(0, 4, size=n)]
+        lo, hi = box or (1, 4)
+        config = FactorizationConfig(rank=k, max_sweeps=4, box_u=box, box_v=box, method=method,
+                                     init=rng.integers(lo, hi + 1, size=(k, n)))
+        result = bcd_factorize(A, config)
+        U, V, history, nodes, status = self._hand_run(A, config)
+        assert (result.U is None) == (U is None)
+        if U is not None:
+            assert np.array_equal(result.U, U)
+        assert np.array_equal(result.V, V)
+        assert result.residual_history == history
+        assert result.half_sweep_nodes == nodes
+        assert result.status == status
 
 
 class TestGoldenBoxedRun:

@@ -159,6 +159,33 @@ def test_tracer_reduction_and_search_seams_are_reached(monkeypatch):
         assert calls[search] >= half_sweeps
 
 
+def test_tracer_update_seams_are_reached_once_per_half_sweep(monkeypatch):
+    # The tracer counts half-sweeps at the factorize.update_u and update_v
+    # seams and reads the other factor from their second argument.
+    seams = [(m, a) for m, a, span in _tracer_table("SEAMS") if span == "factorize.update"]
+    assert seams == [("factorize", "update_u"), ("factorize", "update_v")]
+    calls = []
+
+    def counting(fn, attr):
+        def wrapper(*args, **kwargs):
+            calls.append((attr, np.shape(args[1])))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for _, attr in seams:
+        monkeypatch.setattr(factorize, attr, counting(getattr(factorize, attr), attr))
+    rng = np.random.default_rng(4)
+    A = rng.integers(1, 5, size=(12, 2)) @ rng.integers(1, 5, size=(2, 10))
+    A += rng.integers(-2, 3, size=A.shape)
+    for box in (None, (-16, 16)):
+        calls.clear()
+        config = factorize.FactorizationConfig(rank=2, max_sweeps=3, box_u=box, box_v=box)
+        half_sweeps = len(factorize.bcd_factorize(A, config).residual_history)
+        assert half_sweeps == 6
+        assert calls == [("update_u", (2, 10)), ("update_v", (12, 2))] * 3
+
+
 def test_failing_property_test_leaves_the_session_running(tmp_path):
     # pyproject.toml makes every warning an error. hypothesis's plugin
     # warns while it reports a failed property test, and as an error that

@@ -2,7 +2,9 @@
 
 Hypothesis draws small integer problems: n from 1 to 4 coordinates, box
 widths from 0 (a singleton coordinate) to 3, and integer H of full column
-rank. The settings are derandomized, so every run tests the same examples.
+rank; and, for the run's residual, factors and data of any shape with
+entries near 0, 2**31 or 2**62. The settings are derandomized, so every
+run tests the same examples.
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ from intlowrank.boxed import (
     mch_reduce,
     solve_ilsb,
 )
-from intlowrank.factorize import update_u, update_v
+from intlowrank.factorize import _Data, residual, update_u, update_v
 from intlowrank.ils import solve_ils
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -162,3 +164,28 @@ def test_one_sided_box_never_beats_the_unboxed_optimum(problem):
     assert boxed >= free
     if box.contains(x_free):
         assert boxed == free
+
+
+# Entries near 0 keep the run's residual in int64; near 2**31 or 2**62 they
+# put it past the int64 bound, into Python ints.
+SCALES = (0, 2**31, 2**62)
+
+
+def _scaled(draw, rows, cols):
+    scale = draw(st.sampled_from(SCALES))
+    signs = _matrix(draw, rows, cols, 0, 1) * 2 - 1
+    return signs * (scale + _matrix(draw, rows, cols, -9, 9))
+
+
+@st.composite
+def factorizations(draw):
+    """(A, U, V) with A m x n, U m x k and V k x n, k from 1 to 6."""
+    m, n, k = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    return _scaled(draw, m, n), _scaled(draw, m, k), _scaled(draw, k, n)
+
+
+@DETERMINISTIC
+@given(factorizations())
+def test_run_residual_is_exact(problem):
+    A, U, V = problem
+    assert _Data(A).residual(U, V) == residual(A, U, V)
