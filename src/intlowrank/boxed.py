@@ -89,19 +89,6 @@ class BoxConstraint:
         return bool((x >= self.lower).all() and (x <= self.upper).all())
 
 
-@dataclass(frozen=True)
-class BoundTable:
-    """Per-level lower bounds on the residual mass of already-fixed levels.
-
-    delta[k] bounds the k-th squared residual term from below over the box
-    and gamma[k] = delta[0] + ... + delta[k-1] accumulates the terms that
-    the search fixes after level k.
-    """
-
-    delta: np.ndarray
-    gamma: np.ndarray
-
-
 def in_box_rounding(c, lo, hi):
     """Nearest and second-nearest integers to c inside [lo, hi], a BoxConstraint's interval.
 
@@ -309,27 +296,8 @@ def _reorder_block(factors, Y, box):
 
 
 def compute_bound_table(R, y_hat, box):
-    """Sound per-level lower bounds on residual terms over the box.
-
-    For level k the term (y_hat_k - sum_j r_kj z_j)^2 is confined to an
-    interval by the box; when both endpoints share a sign the squared
-    smaller endpoint is a valid lower bound, otherwise the term can vanish
-    and the bound is zero. Endpoints within 1e-12 of zero count as
-    sign-straddling. The solver does not use the table: on the problems
-    it has been measured on, the bounds almost never prune a node. It
-    stays only as a seam that the benchmark's tracer (perfbench/tracing.py)
-    names, and goes when the tracer stops naming it.
-    """
-    R, y_hat = np.asarray(R, dtype=float), np.asarray(y_hat, dtype=float).ravel()
-    lower, upper = box.lower.astype(float), box.upper.astype(float)
-    delta = np.zeros(y_hat.shape[0])
-    for k in range(delta.shape[0]):
-        p, q = R[k, k:] * lower[k:], R[k, k:] * upper[k:]
-        lo_end = y_hat[k] - float(np.maximum(p, q).sum())
-        hi_end = y_hat[k] - float(np.minimum(p, q).sum())
-        if min(lo_end, hi_end) > 1e-12 or max(lo_end, hi_end) < -1e-12:
-            delta[k] = min(lo_end * lo_end, hi_end * hi_end)
-    return BoundTable(delta=delta, gamma=np.concatenate(([0.0], np.cumsum(delta)[:-1])))
+    """Removed: no code calls it; it goes with its perfbench/tracing.py seam (ROADMAP item 1)."""
+    raise NotImplementedError("compute_bound_table was removed; no solver used its bounds")
 
 
 def boxed_search(rp, box, stats=None):

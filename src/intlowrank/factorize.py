@@ -213,13 +213,14 @@ def init_most_frequent(A, k):
     Row 0 takes each column's most frequent value, frequency ties resolved
     toward the value closest to the column mean (then the smaller value).
     Later rows take the remaining values by descending frequency with ties
-    toward the smaller value; columns with fewer than k distinct values are
-    padded with the top value shifted by the row index, keeping rows
-    distinct. Raises ValueError when that padding leaves the int64 range.
+    toward the smaller value. A column with fewer than k distinct values
+    is padded in every row r with its top value plus r, which may repeat a
+    value the column holds, so rows need not be distinct. Raises
+    ValueError when that padding leaves the int64 range.
     """
     A = as_int_matrix(A)
     m, n = A.shape
-    # One run per distinct (column, value) of the sorted columns.
+    # One run per distinct (column, value) of the sorted columns, in value order.
     S = np.sort(A.T, axis=1).ravel()
     starts = np.ones(S.size, dtype=bool)
     starts[1:] = S[1:] != S[:-1]
@@ -227,23 +228,23 @@ def init_most_frequent(A, k):
     starts = np.flatnonzero(starts)
     counts = np.diff(starts, append=S.size)
     cols = starts // m
-    # Runs grouped by column, each group by descending frequency, then value.
-    order = np.lexsort((S[starts], -counts, cols))
+    # Runs grouped by column, each group by descending frequency; the stable
+    # sort keeps value order among equally frequent runs.
+    order = np.argsort(cols * (m + 1) - counts, kind="stable")
     vals, counts, cols = S[starts][order], counts[order], cols[order]
     runs = np.bincount(cols, minlength=n)
     col_start = np.cumsum(runs) - runs
-    # Row 0: of the top-frequency runs, the one closest to the mean, then
-    # the first in value order. The means must equal each A[:, j].mean().
-    # The rows of a contiguous A.T sum in the same order (measured, not
-    # proven: the tests pin it), where A.mean(axis=0) adds a C-ordered A
-    # row by row and rounds differently once the sums do.
+    # Row 0: of the top-frequency runs, which lead their column's group, the
+    # one closest to the mean, then the first in value order. The means must
+    # equal each A[:, j].mean(). The rows of a contiguous A.T sum in the
+    # same order (measured, not proven: the tests pin it), where
+    # A.mean(axis=0) adds a C-ordered A row by row and rounds differently
+    # once the sums do.
     mean = np.ascontiguousarray(A.T).mean(axis=1)
-    dist = np.abs(vals.astype(np.float64) - mean[cols])
-    top = counts == counts[col_start][cols]
-    nearest = np.full(n, np.inf)
-    np.minimum.at(nearest, cols[top], dist[top])
-    tied = np.flatnonzero(top & (dist == nearest[cols]))
-    first_at = tied[np.unique(cols[tied], return_index=True)[1]]
+    top = np.flatnonzero(counts == counts[col_start][cols])
+    dist = np.abs(vals[top].astype(np.float64) - mean[cols[top]])
+    top = top[np.lexsort((dist, cols[top]))]
+    first_at = top[np.diff(cols[top], prepend=-1) != 0]
     first = vals[first_at]
     # Row r takes the run at position r of its column, with the row-0 run
     # moved to the front past the runs before it.
@@ -341,13 +342,14 @@ def _initial_factor(A, k, config, box_v):
 def bcd_factorize(A, config):
     """Alternate globally optimal updates of U, then V, until the iterates repeat.
 
-    Stops when a full sweep leaves both factors unchanged, when the exact
-    residual reaches zero, or after max_sweeps. The facts about A that
-    every half-sweep reads are derived once per run, and each history
-    entry equals residual(A, U, V) but comes from k-sized products. Rank collapse of an
-    iterate ends the run with the last consistent factors and status
-    "rank_deficient_failure" rather than raising. A V-first run is this
-    run on A.T with the factors transposed.
+    Stops when a full sweep leaves U unchanged (update_v reads only U, so
+    V repeats too), when the exact residual reaches zero, or after
+    max_sweeps. The facts about A that every half-sweep reads are derived
+    once per run, and each history entry equals residual(A, U, V) but
+    comes from k-sized products. Rank collapse of an iterate ends the run
+    with the last consistent factors and status "rank_deficient_failure"
+    rather than raising. A V-first run is this run on A.T with the factors
+    transposed.
     """
     A = as_int_matrix(A)
     m, n = A.shape
@@ -366,11 +368,11 @@ def bcd_factorize(A, config):
     history = []
     nodes = []
     status = STATUS_MAX_SWEEPS
-    # update_u and update_v return new arrays, so prev_u and prev_v keep
-    # the factors as they were at the start of the sweep.
+    # update_u returns a new array, so prev_u keeps U as it was at the
+    # start of the sweep.
     try:
         for sweep in range(1, max_sweeps + 1):
-            prev_u, prev_v = U, V
+            prev_u = U
             stats = SearchStats()
             U = update_u(data, V, box_u, method=config.method, stats=stats)
             history.append(data.residual(U, V))
@@ -382,7 +384,7 @@ def bcd_factorize(A, config):
             V = update_v(data, U, box_v, method=config.method, stats=stats)
             history.append(data.residual(U, V))
             nodes.append(stats.nodes)
-            unchanged = sweep > 1 and np.array_equal(U, prev_u) and np.array_equal(V, prev_v)
+            unchanged = sweep > 1 and np.array_equal(U, prev_u)
             if history[-1] == 0 or unchanged:
                 status = STATUS_CONVERGED
                 break

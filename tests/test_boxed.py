@@ -21,7 +21,6 @@ from intlowrank.boxed import (
     _reorder,
     _reorder_block,
     boxed_search,
-    compute_bound_table,
     in_box_rounding,
     mch_reduce,
     solve_ilsb,
@@ -240,39 +239,6 @@ class TestMCHReduce:
         box = BoxConstraint.uniform(2, -(2**60), 2**60)
         rp, pbox = mch_reduce(H, np.array([c, 0.25, 0.0]), box)
         assert rp.Z.tolist() == [[0, 1], [1, 0]]
-
-class TestBoundTable:
-    def test_sign_straddling_gives_zero(self):
-        rng = np.random.default_rng(23)
-        R = np.triu(rng.normal(size=(3, 3))) + 3 * np.eye(3)
-        box = BoxConstraint.uniform(3, -3, 3)
-        table = compute_bound_table(R, np.zeros(3), box)
-        assert np.array_equal(table.delta, np.zeros(3))
-        assert np.array_equal(table.gamma, np.zeros(3))
-
-    def test_scalar_example(self):
-        # endpoints 7 - 4 = 3 and 7 - 2 = 5 share a sign, so delta = 3^2
-        table = compute_bound_table(np.array([[2.0]]), np.array([7.0]), BoxConstraint([1], [2]))
-        assert table.delta[0] == pytest.approx(9.0)
-        assert table.gamma[0] == 0.0
-
-    def test_soundness_by_exhaustion(self):
-        rng = np.random.default_rng(24)
-        for _ in range(100):
-            n = int(rng.integers(1, 5))
-            H, y, lo, hi = make_ilsb_instance(rng, n, max_width=4)
-            box = BoxConstraint(lo, hi)
-            rp, pbox = mch_reduce(H.astype(float), y.astype(float), box)
-            table = compute_bound_table(rp.R, rp.y_hat, pbox)
-            grids = np.meshgrid(
-                *[np.arange(l, u + 1) for l, u in zip(pbox.lower, pbox.upper)], indexing="ij"
-            )
-            Zs = np.stack([g.ravel() for g in grids], axis=1)
-            terms = (rp.y_hat[None, :] - Zs @ rp.R.T) ** 2
-            prefix = np.cumsum(terms, axis=1)
-            for k in range(n):
-                accumulated = prefix[:, k - 1] if k > 0 else np.zeros(len(Zs))
-                assert np.all(accumulated >= table.gamma[k] - 1e-9)
 
 
 class TestBoxedSearch:

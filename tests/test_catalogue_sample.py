@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-from check_catalogue import failures  # noqa: E402 (puts perfbench/ on sys.path)
+from check_catalogue import failures, openblas_core  # noqa: E402 (puts perfbench/ on sys.path)
 from run import MODULES, load_reference  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -32,3 +32,9 @@ def test_first_instances_pass_the_gate(name, tmp_path):
     assert len(refs) == SAMPLE
     found = {i: failures(workload, api, i, ref) for i, ref in enumerate(refs)}
     assert not {i: errors for i, errors in found.items() if errors}
+
+
+def test_openblas_core_is_a_kernel_name_or_none():
+    # None when numpy bundles no OpenBLAS that exports its kernel name.
+    core = openblas_core()
+    assert core is None or core.isalnum()

@@ -295,7 +295,7 @@ class TestInitMostFrequent:
         # One row of padding fits exactly; the value is never wrapped.
         assert init_most_frequent(A - np.array([0, 1, 0]), 2)[1, 1] == top
 
-    @pytest.mark.parametrize("case", range(7))
+    @pytest.mark.parametrize("case", range(8))
     def test_matches_column_loop_reference(self, case):
         rng = np.random.default_rng(case)
         for _ in range(60):
@@ -319,7 +319,7 @@ class TestInitMostFrequent:
                 # order (as A.mean(axis=0) does from 9 rows on) can flip it.
                 base = rng.integers(2**61, 2**62, size=n) * rng.choice([-1, 1], size=n)
                 A = base + 2**40 * rng.choice([-1, 1], size=(2 * m + 8, n))
-            else:
+            elif case == 6:
                 # As case 5 with more than 8,192 rows, which numpy sums in
                 # buffered chunks, and exactly as many B - 2**40 as B + 2**40
                 # entries per column, so that the rounded mean decides.
@@ -327,6 +327,10 @@ class TestInitMostFrequent:
                 base = rng.integers(2**61, 2**62, size=n) * rng.choice([-1, 1], size=n)
                 upper = np.argsort(rng.random((rows, n)), axis=0) < rows // 2
                 A = base + 2**40 * np.where(upper, 1, -1)
+            else:
+                # Tall columns of 5 values, where several later runs tie in
+                # frequency and the stable sort keeps them in value order.
+                A = rng.integers(-2, 3, size=(int(rng.integers(9, 61)), n))
             for k in (1, 3, 9):
                 assert np.array_equal(init_most_frequent(A, k), _init_most_frequent_reference(A, k))
 
@@ -648,15 +652,16 @@ class TestRunMatchesPublicHalfSweeps:
             status = STATUS_RANK_DEFICIENT
         return U, V, history, nodes, status
 
-    @pytest.mark.parametrize("box, method, repeated", [
+    CASES = [
         (None, "ils", False),
         ((0, 6), "ils", False),
         ((0, 4), "rounded_ls", False),
         (None, "ils", True),
         ((0, 6), "ils", True),
-    ], ids=["unboxed", "boxed", "rounded_ls", "repeated-unboxed", "repeated-boxed"])
-    @pytest.mark.parametrize("seed", [3, 8])
-    def test_same_result(self, seed, box, method, repeated):
+    ]
+    IDS = ["unboxed", "boxed", "rounded_ls", "repeated-unboxed", "repeated-boxed"]
+
+    def _same_result(self, seed, box, method, repeated, max_sweeps):
         rng = np.random.default_rng(seed)
         m, n, k = 16, 13, 3
         A = rng.integers(1, 5, size=(m, k)) @ rng.integers(1, 5, size=(k, n))
@@ -664,8 +669,8 @@ class TestRunMatchesPublicHalfSweeps:
         if repeated:  # most rows and columns repeat one of a few
             A = A[rng.integers(0, 5, size=m)][:, rng.integers(0, 4, size=n)]
         lo, hi = box or (1, 4)
-        config = FactorizationConfig(rank=k, max_sweeps=4, box_u=box, box_v=box, method=method,
-                                     init=rng.integers(lo, hi + 1, size=(k, n)))
+        config = FactorizationConfig(rank=k, max_sweeps=max_sweeps, box_u=box, box_v=box,
+                                     method=method, init=rng.integers(lo, hi + 1, size=(k, n)))
         result = bcd_factorize(A, config)
         U, V, history, nodes, status = self._hand_run(A, config)
         assert (result.U is None) == (U is None)
@@ -675,6 +680,25 @@ class TestRunMatchesPublicHalfSweeps:
         assert result.residual_history == history
         assert result.half_sweep_nodes == nodes
         assert result.status == status
+        return result
+
+    @pytest.mark.parametrize("box, method, repeated", CASES, ids=IDS)
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_same_result(self, seed, box, method, repeated):
+        self._same_result(seed, box, method, repeated, max_sweeps=4)
+
+    # The hand loop stops only when both U and V repeat, and the run when U
+    # repeats; runs longer than 4 sweeps check that they stop together.
+    @pytest.mark.parametrize("box, method, repeated", CASES, ids=IDS)
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_same_result_within_30_sweeps(self, seed, box, method, repeated):
+        self._same_result(seed, box, method, repeated, max_sweeps=30)
+
+    def test_some_run_stops_on_a_repeat_after_sweep_4(self):
+        results = [self._same_result(seed, *case, max_sweeps=30)
+                   for case in self.CASES for seed in (3, 8)]
+        assert any(r.status == STATUS_CONVERGED and r.sweeps > 4 and r.final_residual != 0
+                   for r in results)
 
 
 class TestGoldenBoxedRun:

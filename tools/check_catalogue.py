@@ -5,19 +5,35 @@
 A benchmark run checks only the instances its seed draws. This runs the
 whole catalogue of each named workload (see perfbench/README.md) through
 the workload's own make, run and check, against perfbench/reference.json,
-with the package imported from src/. It prints one line per failing
-instance and a count per workload, and exits 1 when any instance fails.
+with the package imported from src/. It prints the numpy version and
+the OpenBLAS kernel first, since the last bits of a float, which that
+kernel decides, can break ties between optima. Then it prints one line
+per failing instance and a count per workload, and exits 1 when any
+instance fails.
 """
 
 import argparse
+import ctypes
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from run import import_package, load_reference  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
+
+
+def openblas_core():
+    """The kernel name numpy's bundled OpenBLAS picked at load, or None when it does not say."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return None
 
 
 def failures(workload, api, instance, ref):
@@ -36,6 +52,7 @@ def main(argv=None):
     parser.add_argument("workloads", nargs="+", choices=sorted(WORKLOADS), metavar="WORKLOAD")
     args = parser.parse_args(argv)
     api = import_package()
+    print(f"numpy {np.__version__}, OpenBLAS kernel {openblas_core()}", flush=True)
     failed = 0
     with tempfile.TemporaryDirectory(prefix="check-catalogue-") as workdir:
         for name in args.workloads:
