@@ -48,7 +48,7 @@ _CENTER_OVERFLOW = "a center of the box reordering overflows float64"
 # [1, 4] slower end to end (0.026 to 0.034 s) and raised its peak
 # memory from 43.6 to 48.3 MB.
 _SCORE_MAX = 1024
-# The most scores _score holds at once: it takes the columns in chunks.
+# The most scores _score holds at once; _SCORE_MAX divides it, so a chunk has 128 columns or more.
 _SCORE_FLOATS = 2**17
 
 
@@ -367,7 +367,7 @@ def _score(H, Y, box, X):
     P = points.astype(float)
     q = ((P @ (H.T @ H)) * P).sum(axis=1)
     B = H.T @ Y
-    step = max(1, _SCORE_FLOATS // P.shape[0])
+    step = _SCORE_FLOATS // P.shape[0]
     tied = []
     for start in range(0, Y.shape[1], step):
         S = q[:, None] - 2.0 * (P @ B[:, start : start + step])
@@ -399,8 +399,7 @@ def solve_ilsb(H, y, box, stats=None):
     X = np.empty((H.shape[1], p), dtype=np.int64, order="F")
     tied = _score(H, Y, box, X) if _scorable(H, Y, box) else list(range(p))
     if tied:  # mch_reduce's QR is the rank check
-        block = Y if len(tied) == p else Y[:, tied]
-        for j, (rp, permuted_box) in zip(tied, mch_reduce(H, block, box)):
+        for j, (rp, permuted_box) in zip(tied, mch_reduce(H, Y[:, tied], box)):
             X[:, j] = rp.Z @ boxed_search(rp, permuted_box, stats=stats)
     else:
         householder_qr(H)  # the rank check

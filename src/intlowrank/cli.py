@@ -240,7 +240,7 @@ def cmd_experiment_distribution(args):
         source = f"file:{args.a_file}"
     else:
         a_seed = trial_seed(args.seed, 0)
-        A = random_product_matrix(args.n, args.n, args.rank, lo, hi, a_seed)
+        A = random_product_matrix(args.n, args.rank, lo, hi, a_seed)
         source = f"generated(seed={a_seed})"
 
     started = time.perf_counter()

@@ -19,13 +19,13 @@ def trial_seed(master_seed, index):
     return master_seed * 1_000_003 + index
 
 
-def random_product_matrix(n_rows, n_cols, rank, lo, hi, seed):
-    """A = U V with both factors drawn uniformly from [lo, hi]; a ValueError if int64 could wrap."""
+def random_product_matrix(n, rank, lo, hi, seed):
+    """n x n A = U V, factors drawn uniformly from [lo, hi]; a ValueError if int64 could wrap."""
     if rank * max(abs(int(lo)), abs(int(hi))) ** 2 > 2**63 - 1:
         raise ValueError(f"a rank-{rank} product of entries in [{lo}, {hi}] can leave int64")
     rng = np.random.default_rng(seed)
-    U = rng.integers(lo, hi + 1, size=(n_rows, rank), dtype=np.int64)
-    V = rng.integers(lo, hi + 1, size=(rank, n_cols), dtype=np.int64)
+    U = rng.integers(lo, hi + 1, size=(n, rank), dtype=np.int64)
+    V = rng.integers(lo, hi + 1, size=(rank, n), dtype=np.int64)
     return U @ V
 
 
@@ -82,7 +82,7 @@ def compare_experiment(n, rank, lo, hi, trials, seed):
     def one(t):
         a_seed = trial_seed(seed, 2 * t)
         v0_seed = trial_seed(seed, 2 * t + 1)
-        A = random_product_matrix(n, n, rank, lo, hi, a_seed)
+        A = random_product_matrix(n, rank, lo, hi, a_seed)
         outcomes = {}
         for method in ("ils", "rounded_ls"):
             config = FactorizationConfig(

@@ -61,13 +61,16 @@ def round_project_orthonormal(A, V):
 
     Orthonormal integer rows make the row problems separable per
     coordinate, so rounding the projection A V^T is globally optimal.
+    Each entry of A V^T is an entry of A, negated or not, so only a
+    negated -2**63 leaves int64: that raises a ValueError, never wraps.
     """
     A = as_int_matrix(A)
     V = as_int_matrix(V)
-    k = V.shape[0]
-    gram = V @ V.T
-    if not np.array_equal(gram, np.eye(k, dtype=np.int64)):
+    # Orthonormal integer rows have entries of at most 1, which keep V V^T from wrapping.
+    if max_abs(V) > 1 or not np.array_equal(V @ V.T, np.eye(V.shape[0], dtype=np.int64)):
         raise NotOrthonormalError("V V^T != I")
+    if max_abs(A) >= 2**63:
+        return as_int64(A.astype(object) @ V.T.astype(object), "factor entry")
     return A @ V.T
 
 
@@ -102,9 +105,9 @@ class _Data:
     """The facts about an int64 A that a run reads in every half-sweep, each derived once.
 
     rows and columns are A's rows (for a U update) and columns (for a V
-    update) as (distinct, inverse): the float block of their first
-    occurrences, keyed by their bytes, in that order, and the map back
-    (None when all are distinct). Only the distinct block is kept, read-only.
+    update) as (distinct, inverse): a copy of the float block of their
+    first occurrences, keyed by their bytes, in that order, and the map
+    back. Only the distinct block is kept, read-only.
     """
 
     def __init__(self, A):
@@ -119,9 +122,9 @@ class _Data:
                 slots[key] = len(first)
                 first.append(j)
             inverse.append(slots[key])
-        distinct = Y if len(first) == Y.shape[1] else Y[:, first]
+        distinct = Y[:, first]
         distinct.flags.writeable = False  # every half-sweep of the run reads it
-        return distinct, (None if distinct is Y else np.array(inverse))
+        return distinct, np.array(inverse)
 
     @cached_property
     def rows(self):
@@ -173,8 +176,6 @@ def _solve_columns(H, block, box, method, stats):
         X = solve_ils(H, distinct, stats)
     else:
         X = solve_ilsb(H, distinct, box, stats)
-    if inverse is None:
-        return X
     full = np.empty((X.shape[0], inverse.size), dtype=np.int64, order="F")
     full[:] = X[:, inverse]
     return full

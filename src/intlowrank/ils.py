@@ -192,8 +192,8 @@ def plll_reduce(H, y):
             k += 1
     else:
         raise RuntimeError("lattice reduction failed to terminate")
-    Z = as_int64(list(zip(*Z)), "unimodular transform entry").reshape(n, n)
-    return ReducedProblem(R=np.array(R).reshape(n, n), Z=Z, y_hat=y_hat)
+    Z = as_int64(list(zip(*Z)), "unimodular transform entry")
+    return ReducedProblem(R=np.array(R), Z=Z, y_hat=y_hat)
 
 
 def lll_reduce(H, y):

@@ -87,22 +87,6 @@ def householder_qr(H):
     return Q1, R
 
 
-def _householder_vector(x):
-    v = np.asarray(x, dtype=float).copy()
-    sigma = float(v[1:] @ v[1:])
-    x0 = float(v[0])
-    if sigma == 0.0:
-        v[:] = 0.0
-        v[0] = 1.0
-        return v, 0.0
-    mu = np.sqrt(x0 * x0 + sigma)
-    v0 = x0 - mu if x0 <= 0 else -sigma / (x0 + mu)
-    beta = 2.0 * v0 * v0 / (sigma + v0 * v0)
-    v /= v0
-    v[0] = 1.0
-    return v, beta
-
-
 def householder_qr_min_pivot(H):
     """Thin QR with ascending-norm column pivoting: H[:, perm] = Q1 @ R.
 
@@ -122,12 +106,18 @@ def householder_qr_min_pivot(H):
         if j != i:
             A[:, [i, j]] = A[:, [j, i]]
             perm[[i, j]] = perm[[j, i]]
-        v, beta = _householder_vector(A[i:, i])
-        if beta != 0.0:
+        v = A[i:, i].copy()  # becomes v of the reflector I - beta v v^T that zeroes A[i+1:, i]
+        sigma, x0, beta = float(v[1:] @ v[1:]), float(v[0]), 0.0
+        if sigma != 0.0:
+            mu = np.sqrt(x0 * x0 + sigma)
+            v0 = x0 - mu if x0 <= 0 else -sigma / (x0 + mu)
+            beta = 2.0 * v0 * v0 / (sigma + v0 * v0)
+            v /= v0
+            v[0] = 1.0
+        if beta != 0.0:  # 0 also when a subnormal sigma underflows v0: v is then inf or nan
             A[i:, i:] -= beta * np.outer(v, v @ A[i:, i:])
-        A[i + 1 :, i] = 0.0
         reflectors.append((i, v, beta))
-    R = np.triu(A[:n, :n]).copy()
+    R = np.triu(A[:n, :n])  # zeroes what the reflectors left below the diagonal, unread
     Q1 = np.eye(m, n)
     for i, v, beta in reversed(reflectors):
         if beta != 0.0:

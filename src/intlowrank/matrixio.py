@@ -99,10 +99,7 @@ def save_matrix(path, M):
 
 
 def as_vector(M, name="vector"):
-    """Interpret a 1 x k or k x 1 (or flat) matrix as a vector."""
-    M = np.asarray(M)
-    if M.ndim == 1:
-        return M
-    if M.ndim == 2 and 1 in M.shape:
+    """Interpret a 1 x k or k x 1 matrix, as load_matrix returns it, as a vector."""
+    if 1 in M.shape:
         return M.ravel()
     raise MatrixParseError(f"{name} must be a single row or column, got shape {M.shape}")

@@ -77,6 +77,12 @@ class TestBoxConstraint:
         with pytest.raises(ValueError, match=message):
             BoxConstraint(lower, upper)
 
+    @pytest.mark.parametrize("lower, upper", [([0, 0], [1]), ([[0]], [[1]])],
+                             ids=["unequal-lengths", "matrices"])
+    def test_bounds_not_equal_length_vectors_rejected(self, lower, upper):
+        with pytest.raises(ValueError, match="bounds must be integer vectors of equal length"):
+            BoxConstraint(lower, upper)
+
     def test_bounds_are_the_box_own_copy(self):
         lower, upper = np.array([0, 1]), np.array([2, 3])
         box = BoxConstraint(lower, upper)

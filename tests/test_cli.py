@@ -93,6 +93,12 @@ class TestIlsCommand:
         save_matrix(h, np.array([[1, 2], [2, 4]]))
         assert main(["ils", str(h), counterexample_files[1]]) == EXIT_RANK_DEFICIENT
 
+    def test_wide_matrix_exit_code(self, tmp_path, capsys, counterexample_files):
+        h = tmp_path / "wide.txt"
+        save_matrix(h, np.array([[1, 0, 2], [0, 1, 3]]))
+        assert main(["ils", str(h), counterexample_files[1]]) == EXIT_RANK_DEFICIENT
+        assert_one_error_line(capsys, "2x3 matrix cannot have full column rank")
+
     def test_empty_box_exit_code(self, counterexample_files):
         assert main(["ils", *counterexample_files, "--box", "3", "1"]) == EXIT_EMPTY_BOX
 

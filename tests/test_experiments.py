@@ -9,7 +9,7 @@ ROOT_INT64 = 3_037_000_499
 
 class TestRandomProductMatrix:
     def test_largest_safe_box_stays_nonnegative(self):
-        A = random_product_matrix(4, 4, 1, 0, ROOT_INT64, seed=0)
+        A = random_product_matrix(4, 1, 0, ROOT_INT64, seed=0)
         assert A.dtype == np.int64 and (A >= 0).all()
 
     @pytest.mark.parametrize("rank, lo, hi", [
@@ -19,4 +19,4 @@ class TestRandomProductMatrix:
     ])
     def test_product_beyond_int64_rejected(self, rank, lo, hi):
         with pytest.raises(ValueError, match="can leave int64"):
-            random_product_matrix(4, 4, rank, lo, hi, seed=0)
+            random_product_matrix(4, rank, lo, hi, seed=0)

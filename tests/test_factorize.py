@@ -137,6 +137,24 @@ class TestRoundProjectOrthonormal:
         with pytest.raises(NotOrthonormalError):
             round_project_orthonormal(TRANSACTIONS, np.ones((2, 6), dtype=np.int64))
 
+    def test_gram_that_wraps_int64_rejected(self):
+        # 1 + (2**32)**2 wraps to 1 in int64, so V V^T used to read as I.
+        with pytest.raises(NotOrthonormalError):
+            round_project_orthonormal(np.ones((2, 2), dtype=np.int64), np.array([[1, 2**32]]))
+
+    def test_negated_int64_min_raises(self):
+        # The optimum's first entry is 2**63; it used to wrap to -2**63.
+        A = np.array([[-(2**63), 5]])
+        with pytest.raises(ValueError, match=f"factor entry {2**63} is outside the int64 range"):
+            round_project_orthonormal(A, np.array([[-1, 0], [0, 1]]))
+
+    @pytest.mark.parametrize("V, expected", [([[1, 0], [0, 1]], [-(2**63), 5]),
+                                             ([[0, 1], [1, 0]], [5, -(2**63)])],
+                             ids=["identity", "permutation"])
+    def test_int64_min_kept_when_not_negated(self, V, expected):
+        U = round_project_orthonormal(np.array([[-(2**63), 5]]), np.array(V))
+        assert U.dtype == np.int64 and U.tolist() == [expected]
+
     def test_matches_row_solves(self):
         rng = np.random.default_rng(30)
         A = rng.integers(-9, 10, size=(6, 5))
@@ -280,7 +298,7 @@ class TestInitMostFrequent:
         A = np.full((4, 3), 7)
         assert np.array_equal(init_most_frequent(A, 1), np.full((1, 3), 7))
 
-    def test_padding_keeps_rows_distinct(self):
+    def test_padding_adds_the_row_index(self):
         A = np.array([[5, 1], [5, 2], [5, 2]])
         V0 = init_most_frequent(A, 2)
         # first column has a single distinct value: row r pads to 5 + r

@@ -3,6 +3,7 @@ import pytest
 from conftest import int_det
 
 from intlowrank.exceptions import RankDeficientError
+from intlowrank.ils import plll_reduce, solve_ils
 from intlowrank.linalg import (
     as_int64,
     givens_coeffs,
@@ -98,6 +99,16 @@ class TestHouseholderQR:
     def test_wide_matrix_rejected(self):
         with pytest.raises(RankDeficientError):
             householder_qr(np.ones((2, 3)))
+
+    # The unboxed path's QR rejects a wide H before any pivoting or reduction.
+    @pytest.mark.parametrize("solve", [
+        householder_qr_min_pivot,
+        lambda H: plll_reduce(H, np.ones(2)),
+        lambda H: solve_ils(H, np.ones(2)),
+    ], ids=["householder_qr_min_pivot", "plll_reduce", "solve_ils"])
+    def test_wide_matrix_rejected_on_the_unboxed_path(self, solve):
+        with pytest.raises(RankDeficientError, match="^2x3 matrix cannot have full column rank$"):
+            solve(np.ones((2, 3)))
 
 
 class TestMinPivotQR:
