@@ -12,8 +12,9 @@ rows: every point is scored exactly, and only rows whose optimum two
 points share are reduced and searched. Equal rows of A (columns, for a
 V update) are the same problem, so each distinct one is solved once and
 the search nodes counted are the nodes actually searched, none for a
-scored row. A run finds A's distinct rows and columns once, and takes
-each half-sweep's exact residual from k-sized products. A rounded
+scored row. A run finds A's distinct rows and columns once, takes
+each half-sweep's exact residual from k-sized products, and does not
+solve a half-sweep again whose input factor has not changed. A rounded
 real-least-squares variant of the sweep is provided as the comparison
 baseline; it carries no optimality guarantee.
 """
@@ -305,7 +306,9 @@ class FactorizationResult:
     half-sweep completed. half_sweep_nodes holds, for each
     residual_history entry, the search nodes spent by the block update
     that produced it: the nodes actually searched, once per distinct row
-    (column) of A, and 0 for a half-sweep whose every row was scored.
+    (column) of A, 0 for a half-sweep whose every row was scored, and 0
+    for one that reused the answer of a sweep earlier, as its input
+    factor had not changed (bcd_factorize).
     """
 
     U: np.ndarray | None
@@ -345,7 +348,10 @@ def bcd_factorize(A, config):
 
     Stops when a full sweep leaves U unchanged (update_v reads only U, so
     V repeats too), when the exact residual reaches zero, or after
-    max_sweeps. The facts about A that every half-sweep reads are derived
+    max_sweeps. update_u reads only V, so a half-sweep whose input factor
+    equals the one the same update read a sweep earlier is not solved
+    again: it keeps that update's answer, appends the same residual and
+    logs 0 nodes. The facts about A that every half-sweep reads are derived
     once per run, and each history entry equals residual(A, U, V) but
     comes from k-sized products. Rank collapse of an iterate ends the run
     with the last consistent factors and status "rank_deficient_failure"
@@ -369,24 +375,34 @@ def bcd_factorize(A, config):
     history = []
     nodes = []
     status = STATUS_MAX_SWEEPS
-    # update_u returns a new array, so prev_u keeps U as it was at the
-    # start of the sweep.
+    # The U that update_v and the V that update_u last read; the updates
+    # return new arrays, so these keep what was read.
+    read_u = read_v = None
     try:
         for sweep in range(1, max_sweeps + 1):
-            prev_u = U
-            stats = SearchStats()
-            U = update_u(data, V, box_u, method=config.method, stats=stats)
-            history.append(data.residual(U, V))
-            nodes.append(stats.nodes)
-            if history[-1] == 0:
+            if sweep > 1 and np.array_equal(V, read_v):
+                # update_u reads only V, so U is update_u(V) already.
+                history.append(history[-1])
+                nodes.append(0)
+            else:
+                read_v, stats = V, SearchStats()
+                U = update_u(data, V, box_u, method=config.method, stats=stats)
+                history.append(data.residual(U, V))
+                nodes.append(stats.nodes)
+                if history[-1] == 0:
+                    status = STATUS_CONVERGED
+                    break
+            if sweep > 1 and np.array_equal(U, read_u):
+                # A full sweep left U unchanged, and update_v reads only U.
+                history.append(history[-1])
+                nodes.append(0)
                 status = STATUS_CONVERGED
                 break
-            stats = SearchStats()
+            read_u, stats = U, SearchStats()
             V = update_v(data, U, box_v, method=config.method, stats=stats)
             history.append(data.residual(U, V))
             nodes.append(stats.nodes)
-            unchanged = sweep > 1 and np.array_equal(U, prev_u)
-            if history[-1] == 0 or unchanged:
+            if history[-1] == 0:
                 status = STATUS_CONVERGED
                 break
     except RankDeficientError:

@@ -72,6 +72,29 @@ def _check_diagonal(R, scale):
         )
 
 
+def exact_rank(M):
+    """Rank of an integer matrix, given as a list of rows of Python ints.
+
+    Bareiss's fraction-free elimination: after t pivots every entry left is,
+    up to sign, a (t+1)-by-(t+1) minor of M, so each division by the
+    previous pivot is exact (Sylvester's identity) and nothing is rounded.
+    A column with no nonzero entry left is skipped. O(rows * columns * rank)
+    operations; the rows of M are read, never written.
+    """
+    rows, rank, prev = list(M), 0, 1
+    while rows and rows[0]:  # the columns not yet eliminated
+        i = next((i for i, row in enumerate(rows) if row[0]), None)
+        if i is not None:
+            top = rows.pop(i)
+            pivot = top[0]
+            rows = [[(pivot * a - row[0] * b) // prev for a, b in zip(row[1:], top[1:])]
+                    for row in rows]
+            prev, rank = pivot, rank + 1
+        else:
+            rows = [row[1:] for row in rows]
+    return rank
+
+
 def householder_qr(H):
     """Thin QR factorization H = Q1 @ R of a full-column-rank matrix.
 
@@ -112,9 +135,9 @@ def householder_qr_min_pivot(H):
             mu = np.sqrt(x0 * x0 + sigma)
             v0 = x0 - mu if x0 <= 0 else -sigma / (x0 + mu)
             beta = 2.0 * v0 * v0 / (sigma + v0 * v0)
+        if beta != 0.0:  # 0 also when a subnormal sigma underflows v0 * v0; v is then unread
             v /= v0
             v[0] = 1.0
-        if beta != 0.0:  # 0 also when a subnormal sigma underflows v0: v is then inf or nan
             A[i:, i:] -= beta * np.outer(v, v @ A[i:, i:])
         reflectors.append((i, v, beta))
     R = np.triu(A[:n, :n])  # zeroes what the reflectors left below the diagonal, unread

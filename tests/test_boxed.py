@@ -640,19 +640,21 @@ class TestScoredBox:
             tied = self._check(*_tie_problem(rng, 24), monkeypatch)
             assert tied == [j for j in range(24) if j % 3]
 
+    # A scoring with no tie checks the rank exactly, with no QR; every other
+    # solve makes one.
     @pytest.mark.parametrize(
-        "y, box",
+        "y, box, qrs",
         [
-            ([[2.0, 3.0], [1.0, -2.0], [3.0, 1.0]], (0, 3)),  # scored, no tie
-            ([[1.0], [0.0], [0.0]], (0, 3)),  # (0, 0) and (1, 0) tie
-            ([2.0, 1.0, 3.0], (0, 3)),  # a vector
-            (np.zeros((3, 0)), (0, 3)),  # an empty block
-            (np.zeros((3, 0)), (0, 40)),  # an empty block the scorer declines
-            ([[0.5], [1.0], [1.5]], (0, 3)),  # declined: not an integer
+            ([[2.0, 3.0], [1.0, -2.0], [3.0, 1.0]], (0, 3), 0),  # scored, no tie
+            ([[1.0], [0.0], [0.0]], (0, 3), 1),  # (0, 0) and (1, 0) tie
+            ([2.0, 1.0, 3.0], (0, 3), 0),  # a vector
+            (np.zeros((3, 0)), (0, 3), 0),  # an empty block
+            (np.zeros((3, 0)), (0, 40), 1),  # an empty block the scorer declines
+            ([[0.5], [1.0], [1.5]], (0, 3), 1),  # declined: not an integer
         ],
         ids=["untied", "tied", "vector", "empty", "empty-declined", "half-integer"],
     )
-    def test_one_qr_per_solve(self, y, box, monkeypatch):
+    def test_one_qr_per_solve(self, y, box, qrs, monkeypatch):
         H = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         qr, calls = boxed.householder_qr, []
 
@@ -662,7 +664,7 @@ class TestScoredBox:
 
         monkeypatch.setattr(boxed, "householder_qr", counting)
         solve_ilsb(H, y, BoxConstraint.uniform(2, *box))
-        assert calls == [(3, 2)]
+        assert calls == [(3, 2)] * qrs
 
     def test_box_points_are_cached_read_only(self):
         boxes = [((lo, 0), (lo + 1, 2)) for lo in range(-4, 5)]
@@ -734,20 +736,63 @@ class TestScoringFallback:
         [
             # (1, 0) and (0, 1) tie, so the tied block's reduction raises.
             ([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], 3, [0], "8.184e-16 <= 5.292e-10"),
-            # (1, 0) alone is optimal, so the QR after scoring raises.
-            ([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]], 1, [], "1.637e-15 <= 8.367e-10"),
+            # (1, 0) alone is optimal, so the exact rank after scoring raises.
+            pytest.param([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]], 1, [], None, id="untied"),
         ],
     )
     @pytest.mark.parametrize("block", [False, True])
     def test_rank_deficient_h_raises_after_scoring(self, H, hi, tied, message, block):
         H, box = np.array(H), BoxConstraint.uniform(2, 0, hi)
         y = H @ [1.0, 0.0]
-        assert boxed._score(H, y[:, None], box, np.empty((2, 1), dtype=np.int64)) == tied
+        assert boxed._score(H, y[:, None], box, np.empty((2, 1), dtype=np.int64), H.T @ H) == tied
         stats = SearchStats()
         with pytest.raises(RankDeficientError) as raised:
             solve_ilsb(H, y[:, None] if block else y, box, stats=stats)
-        assert str(raised.value) == f"numerically rank deficient: min |r_ii| = {message}"
+        if tied:  # the QR's float check, whose noise the BLAS kernel decides
+            assert str(raised.value) == f"numerically rank deficient: min |r_ii| = {message}"
+        else:
+            assert str(raised.value) == "H has exact rank 1, less than its 2 columns"
         assert stats == SearchStats()
+
+    @pytest.mark.parametrize("m", [6, 2], ids=["tall", "wide"])
+    def test_exact_rank_of_every_untied_h(self, m):
+        # A one-point box never ties, so H of every rank r takes the exact check:
+        # full rank answers, and less raises the rank, the zero H's included.
+        rng = np.random.default_rng(72)
+        k, point = 4, [1, 2, 0, 1]
+        box = BoxConstraint(point, point)
+        for r in range(k + 1):
+            H = (rng.integers(-3, 4, size=(m, r)) @ rng.integers(-3, 4, size=(r, k))).astype(float)
+            y = rng.integers(-9, 10, size=(m, 2)).astype(float)
+            rank = min(r, m)
+            assert int(np.linalg.matrix_rank(H)) == rank
+            stats = SearchStats()
+            if rank == k:
+                assert solve_ilsb(H, y, box, stats=stats).T.tolist() == [point, point]
+                assert stats == SearchStats(scored=2)
+                continue
+            with pytest.raises(RankDeficientError) as raised:
+                solve_ilsb(H, y, box, stats=stats)
+            assert str(raised.value) == f"H has exact rank {rank}, less than its {k} columns"
+            assert stats == SearchStats()
+
+    # Singleton coordinates keep a box scorable at any width, so past
+    # _EXACT_RANK_MAX columns the rank check is householder_qr's again.
+    @pytest.mark.parametrize("k", [boxed._EXACT_RANK_MAX, boxed._EXACT_RANK_MAX + 1, 300])
+    def test_one_point_box_of_many_columns(self, k, monkeypatch):
+        rng = np.random.default_rng(73)
+        H = rng.integers(-3, 4, size=(k + 2, k)).astype(float)
+        box = BoxConstraint(np.arange(k) % 3, np.arange(k) % 3)
+        qr, exact, calls = boxed.householder_qr, boxed.exact_rank, []
+        monkeypatch.setattr(boxed, "householder_qr", lambda H: calls.append("qr") or qr(H))
+        monkeypatch.setattr(boxed, "exact_rank", lambda G: calls.append("exact") or exact(G))
+        stats = SearchStats()
+        X = solve_ilsb(H, rng.integers(-9, 10, size=(k + 2, 3)).astype(float), box, stats=stats)
+        assert np.array_equal(X, np.tile(box.lower[:, None], 3)) and stats.scored == 3
+        assert calls == ["exact" if k <= boxed._EXACT_RANK_MAX else "qr"]
+        H[:, -1] = H[:, 0]
+        with pytest.raises(RankDeficientError):
+            solve_ilsb(H, np.ones(k + 2), box)
 
     def test_reader_errors_come_first(self):
         box = BoxConstraint.uniform(2, 0, 2)

@@ -585,14 +585,21 @@ class TestBCDFactorize:
         # Replay the run: entry h is the node sum of the h-th block update.
         cons = BoxConstraint.uniform(2, *box) if box else None
         U, V = None, init_most_frequent(TRANSACTIONS, 2)
+        inputs = []  # the factor each update read, in order
         for h, logged in enumerate(result.half_sweep_nodes):
             stats = SearchStats()
             if h % 2 == 0:
+                inputs.append(V)
                 U = update_u(TRANSACTIONS, V, cons, stats=stats)
             else:
+                inputs.append(U)
                 V = update_v(TRANSACTIONS, U, cons, stats=stats)
+            # An update whose input is the one it read a sweep earlier reuses
+            # that answer, searching and scoring nothing.
+            if h >= 2 and np.array_equal(inputs[h], inputs[h - 2]):
+                assert logged == 0
             # Five distinct rows (columns) a half-sweep: each is searched or scored.
-            if box == (0, 4):
+            elif box == (0, 4):
                 assert logged == stats.nodes == 0 and stats.scored == 5
             else:
                 assert logged == stats.nodes >= 1 and stats.scored == 0
@@ -644,14 +651,17 @@ class TestRunMatchesPublicHalfSweeps:
 
     @staticmethod
     def _hand_run(A, config):
+        """Every update solved; a reused one (same input as a sweep earlier) logs 0 nodes."""
         k = config.rank
         box_u = BoxConstraint.uniform(k, *config.box_u) if config.box_u else None
         box_v = BoxConstraint.uniform(k, *config.box_v) if config.box_v else None
         U, V, history, nodes, status = None, config.init, [], [], STATUS_MAX_SWEEPS
+        inputs = []  # the factor each update read, in order
         try:
             for sweep in range(1, config.max_sweeps + 1):
                 prev = U, V
                 stats = SearchStats()
+                inputs.append(V)
                 U = update_u(A, V, box_u, method=config.method, stats=stats)
                 history.append(residual(A, U, V))
                 nodes.append(stats.nodes)
@@ -659,6 +669,7 @@ class TestRunMatchesPublicHalfSweeps:
                     status = STATUS_CONVERGED
                     break
                 stats = SearchStats()
+                inputs.append(U)
                 V = update_v(A, U, box_v, method=config.method, stats=stats)
                 history.append(residual(A, U, V))
                 nodes.append(stats.nodes)
@@ -668,6 +679,9 @@ class TestRunMatchesPublicHalfSweeps:
                     break
         except RankDeficientError:
             status = STATUS_RANK_DEFICIENT
+        for h in range(2, len(nodes)):
+            if np.array_equal(inputs[h], inputs[h - 2]):
+                nodes[h] = 0
         return U, V, history, nodes, status
 
     CASES = [
@@ -717,6 +731,28 @@ class TestRunMatchesPublicHalfSweeps:
                    for case in self.CASES for seed in (3, 8)]
         assert any(r.status == STATUS_CONVERGED and r.sweeps > 4 and r.final_residual != 0
                    for r in results)
+
+    # A run that stops on a repeated U solves no V in its last sweep; a run
+    # whose V repeats solves neither factor in the sweep after, and stops.
+    @pytest.mark.parametrize("seed, sweeps, reused", [(0, 2, 1), (3, 5, 2)],
+                             ids=["U-repeats", "V-repeats"])
+    def test_repeated_input_is_not_solved_again(self, seed, sweeps, reused, monkeypatch):
+        A = np.random.default_rng(seed).integers(0, 5, size=(8, 7))
+        config = FactorizationConfig(rank=2, max_sweeps=30, init=init_most_frequent(A, 2))
+        U, V, history, nodes, status = self._hand_run(A, config)
+        calls = []
+        for name in ("update_u", "update_v"):
+            update = getattr(factorize, name)
+            monkeypatch.setattr(factorize, name, lambda *args, _f=update, _n=name, **kwargs:
+                                calls.append(_n) or _f(*args, **kwargs))
+        result = bcd_factorize(A, config)
+        assert result.status == status == STATUS_CONVERGED and result.sweeps == sweeps
+        assert np.array_equal(result.U, U) and np.array_equal(result.V, V)
+        assert result.residual_history == history and history[-1] != 0
+        assert result.half_sweep_nodes == nodes
+        assert calls == ["update_u", "update_v"] * (sweeps - 1) + ["update_u"] * (2 - reused)
+        assert history[-reused - 1:] == [history[-1]] * (reused + 1)
+        assert nodes[-reused:] == [0] * reused and 0 not in nodes[:-reused]
 
 
 class TestGoldenBoxedRun:

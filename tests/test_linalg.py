@@ -1,3 +1,6 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from conftest import int_det
@@ -6,6 +9,7 @@ from intlowrank.exceptions import RankDeficientError
 from intlowrank.ils import plll_reduce, solve_ils
 from intlowrank.linalg import (
     as_int64,
+    exact_rank,
     givens_coeffs,
     householder_qr,
     householder_qr_min_pivot,
@@ -133,6 +137,17 @@ class TestMinPivotQR:
         with pytest.raises(RankDeficientError):
             householder_qr_min_pivot(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
+    # Column 0's sigma, 1e-322, is subnormal, so v0 underflows to -0.0 and
+    # beta to 0: the reflector is the identity, and v is never divided.
+    def test_subnormal_sigma_divides_nothing(self):
+        H = np.array([[1e150, 0.0], [1e-161, 1e151]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Q1, R, perm = householder_qr_min_pivot(H)
+            x = solve_ils(H, [1e150, 1e151])[0]
+        assert perm.tolist() == [0, 1] and np.array_equal(Q1, np.eye(2))
+        assert np.array_equal(R, np.triu(H)) and x.tolist() == [1, 1]
+
 
 class TestGivens:
     def test_zeroes_second_entry(self):
@@ -171,3 +186,50 @@ class TestIntDet:
         for _ in range(30):
             M = rng.integers(-5, 6, size=(5, 5))
             assert int_det(M) == round(np.linalg.det(M.astype(float)))
+
+
+def _fraction_rank(M):
+    """Rank of an integer matrix by Gaussian elimination over the rationals."""
+    rows, rank = [[Fraction(int(v)) for v in row] for row in np.asarray(M)], 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] / rows[rank][c]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+class TestExactRank:
+    @pytest.mark.parametrize("m, k", [(6, 4), (3, 5), (1, 3), (7, 7)])
+    def test_every_rank_of_h_and_g(self, m, k):
+        # H = B C with B m-by-r and C r-by-k has rank at most r; checked, not assumed.
+        rng = np.random.default_rng(80 + m * k)
+        seen = set()
+        for r in range(min(m, k) + 1):
+            for _ in range(5):
+                H = rng.integers(-9, 10, size=(m, r)) @ rng.integers(-9, 10, size=(r, k))
+                rank = _fraction_rank(H)
+                seen.add(rank)
+                assert exact_rank(H.tolist()) == rank
+                assert exact_rank((H.T @ H).tolist()) == rank
+        assert seen == set(range(min(m, k) + 1))
+
+    def test_zero_columns_and_skipped_pivots(self):
+        assert exact_rank(np.zeros((4, 3), dtype=np.int64).tolist()) == 0
+        assert exact_rank([]) == exact_rank([[], []]) == 0
+        # Zero leading columns, and a column with no pivot between two with one.
+        M = [[0, 0, 2, 4, 1], [0, 0, 1, 2, 0], [0, 0, 3, 6, 5]]
+        assert exact_rank(M) == _fraction_rank(M) == 2
+
+    def test_entries_past_float64(self):
+        # Minors of G = H^T H for H near 2**26 exceed 2**53; every division stays exact.
+        rng = np.random.default_rng(81)
+        for _ in range(10):
+            H = rng.integers(2**25, 2**26, size=(8, 5))
+            H[:, 4] = H[:, 0] - 3 * H[:, 2]
+            G = [[sum(int(a) * int(b) for a, b in zip(u, v)) for v in H.T] for u in H.T]
+            assert exact_rank(G) == _fraction_rank(G) == 4
